@@ -36,6 +36,7 @@ from .identities import (
     compensated_sum,
     evaluate,
     identity_term,
+    iter_terms,
     pants_sum_term,
     pants_sum_term_via_complement,
     quasi_pants_term,
@@ -96,6 +97,7 @@ __all__ = [
     "from_traces",
     "guard_threshold",
     "identity_term",
+    "iter_terms",
     "lasso",
     "length_from_trace",
     "li2",

@@ -18,10 +18,9 @@ from .dilog import PI2_6, rogers
 from .errors import DomainError, ResourceLimitError
 from .identities import (
     IdentityKind,
-    RunningSum,
-    check_point_kind,
     evaluate,
-    identity_term,
+    identity_term,  # noqa: F401  looked up here by benchmarks/tracer.py
+    iter_terms,
     term_foursphere_ortho,
     term_foursphere_simple,
 )
@@ -41,18 +40,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt17(value: float) -> str:
-    return format(value, ".17g")
+def _csv_field(value) -> str:
+    # ints as ints, floats with 17 significant digits
+    return str(value) if isinstance(value, (str, int)) else format(value, ".17g")
 
 
-def _csv_line(fields) -> str:
-    return ",".join(fields) + "\n"
-
-
-def _emit_csv(out, header, rows):
-    out.write(_csv_line(header))
+def _emit(out, fmt, header, rows):
+    """Write `rows` as CSV lines or as one JSON list of header-keyed objects."""
+    if fmt == "json":
+        out.write(json.dumps([dict(zip(header, row)) for row in rows]) + "\n")
+        return
+    out.write(",".join(header) + "\n")
     for row in rows:
-        out.write(_csv_line([f if isinstance(f, str) else _fmt17(f) for f in row]))
+        out.write(",".join(map(_csv_field, row)) + "\n")
 
 
 def _parse_floats(text, count, option):
@@ -120,87 +120,41 @@ def _build_parser():
     return parser
 
 
-def _report_json(report):
-    return json.dumps(report.to_dict()) + "\n"
-
-
-def _report_csv(report):
-    param_names = sorted(report.parameters)
-    header = (
-        ["kind"]
-        + [f"param_{name}" for name in param_names]
-        + ["cutoff", "term_count", "partial_sum", "target", "defect", "tail_estimate"]
-    )
-    row = (
-        [report.kind.value]
-        + [_fmt17(report.parameters[name]) for name in param_names]
-        + [
-            _fmt17(report.cutoff),
-            str(report.term_count),
-            _fmt17(report.partial_sum),
-            _fmt17(report.target),
-            _fmt17(report.defect),
-            _fmt17(report.tail_estimate),
-        ]
-    )
-    return _csv_line(header) + _csv_line(row)
-
-
 def _cmd_verify(args, out):
     kind = IdentityKind(args.identity)
     triple = _point_from_args(args)
     report = evaluate(kind, triple, args.cutoff)
-    out.write(_report_json(report) if args.format == "json" else _report_csv(report))
+    fields = report.to_dict()
+    if args.format == "json":
+        out.write(json.dumps(fields) + "\n")
+    else:
+        params = fields.pop("parameters")
+        row = {"kind": fields.pop("kind")}
+        row.update((f"param_{name}", params[name]) for name in sorted(params))
+        row.update(fields)
+        _emit(out, "csv", list(row), [list(row.values())])
     return 0 if abs(report.defect) <= args.tol else 1
 
 
 def _cmd_spectrum(args, out):
     triple = _point_from_args(args)
-    records = enumerate_geodesics(triple, args.cutoff)
-    if args.format == "csv":
-        rows = [(str(r.slope.p), str(r.slope.q), r.trace, r.length) for r in records]
-        _emit_csv(out, ["p", "q", "trace", "length"], rows)
-    else:
-        payload = [
-            {"p": r.slope.p, "q": r.slope.q, "trace": r.trace, "length": r.length}
-            for r in records
-        ]
-        out.write(json.dumps(payload) + "\n")
+    rows = [
+        (r.slope.p, r.slope.q, r.trace, r.length)
+        for r in enumerate_geodesics(triple, args.cutoff)
+    ]
+    _emit(out, args.format, ["p", "q", "trace", "length"], rows)
     return 0
 
 
 def _cmd_terms(args, out):
     kind = IdentityKind(args.identity)
     triple = _point_from_args(args)
-    check_point_kind(kind, triple.k)
-    records = enumerate_geodesics(triple, args.cutoff)
-    acc = RunningSum()
-    rows = []
-    for record in records:
-        term = identity_term(kind, triple.k, record)
-        acc.add(term)
-        rows.append((record, term, acc.value))
-    if args.format == "csv":
-        _emit_csv(
-            out,
-            ["p", "q", "length", "term", "partial_sum"],
-            [
-                (str(r.slope.p), str(r.slope.q), r.length, term, partial)
-                for r, term, partial in rows
-            ],
-        )
-    else:
-        payload = [
-            {
-                "p": r.slope.p,
-                "q": r.slope.q,
-                "length": r.length,
-                "term": term,
-                "partial_sum": partial,
-            }
-            for r, term, partial in rows
-        ]
-        out.write(json.dumps(payload) + "\n")
+    # materialized first: a term that raises leaves stdout empty
+    rows = [
+        (r.slope.p, r.slope.q, r.length, term, partial)
+        for r, term, partial in iter_terms(kind, triple, args.cutoff)
+    ]
+    _emit(out, args.format, ["p", "q", "length", "term", "partial_sum"], rows)
     return 0
 
 
@@ -252,7 +206,7 @@ def _cmd_sweep(args, out):
                 name,
                 value,
                 report.cutoff,
-                str(report.term_count),
+                report.term_count,
                 report.partial_sum,
                 report.defect,
                 report.tail_estimate,
@@ -269,9 +223,9 @@ def _cmd_sweep(args, out):
     ]
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            _emit_csv(handle, header, rows)
+            _emit(handle, "csv", header, rows)
     else:
-        _emit_csv(out, header, rows)
+        _emit(out, "csv", header, rows)
     return 0
 
 

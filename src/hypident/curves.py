@@ -37,7 +37,7 @@ parents), multiplies the explicit Fenchel-Nielsen matrices, and reports
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import cosh, gcd
 
@@ -45,12 +45,12 @@ from .errors import DomainError, ResourceLimitError
 from .torus import (
     FenchelNielsen,
     TraceTriple,
-    _triple_with_known_boundary,
     fenchel_nielsen_matrices,
     length_from_trace,
     mat_inv,
     mat_mul,
     mat_trace,
+    trace_triple,
 )
 
 __all__ = [
@@ -131,7 +131,7 @@ def reduce_to_minimal(triple: TraceTriple) -> TraceTriple:
             coords[i] = candidate
         else:
             # the reduced marking describes the same surface: keep its k
-            return _triple_with_known_boundary(*coords, triple.k)
+            return replace(trace_triple(*coords), k=triple.k)
 
 
 def _mediant(u, v):

@@ -69,31 +69,16 @@ def _check_arg(z):
 def li2(z: float) -> float:
     """Classical dilogarithm Li2(z) for real z <= 1."""
     _check_arg(z)
-    if z == 0.0:
-        return 0.0
+    if -0.5 <= z <= 0.5:
+        return _li2_series(z)  # not via rogers: its log term would cancel at small z
     if z == 1.0:
         return PI2_6
-    if -0.5 <= z <= 0.5:
-        return _li2_series(z)
-    if z > 0.5:
-        # Euler: Li2(z) + Li2(1-z) = pi^2/6 - log(z) log(1-z)
-        return PI2_6 - log(z) * log1p(-z) - _li2_series(1.0 - z)
-    if z >= -1.0:
-        # Landen: Li2(z) + Li2(z/(z-1)) = -(1/2) log^2(1-z); z/(z-1) in (1/3, 1/2]
-        return -_li2_series(z / (z - 1.0)) - 0.5 * log1p(-z) ** 2
-    # inversion: Li2(z) + Li2(1/z) = -pi^2/6 - (1/2) log^2(-z); 1/z in (-1, 0)
-    return -PI2_6 - 0.5 * log(-z) ** 2 - li2(1.0 / z)
+    return rogers(z) - 0.5 * log(abs(z)) * log1p(-z)
 
 
-def rogers(z: float, limit_floor: float | None = None) -> float:
-    """Rogers dilogarithm L(z) for real z <= 1.
-
-    When ``limit_floor`` is given, arguments below it short-circuit to the
-    limit value -pi^2/6 instead of being evaluated.
-    """
+def rogers(z: float) -> float:
+    """Rogers dilogarithm L(z) for real z <= 1."""
     _check_arg(z)
-    if limit_floor is not None and z < limit_floor:
-        return -PI2_6
     if z == 0.0:
         return 0.0
     if z == 1.0:

@@ -19,8 +19,10 @@ classical horocycle identity).  The term functions:
         L(tanh^2(q/2)) + 2 L(tanh^2(m/2)) - 2 La(e^{-k/2}, tanh^2(m/2))
 
     four-holed sphere with boundaries c, interior geodesic of length a:
-        orthogeodesic, simple (in c and a only) and cusped brackets,
-        related to the torus forms by k = 2c, a = 2b
+        the orthogeodesic, simple (in c and a only) and cusped brackets are
+        the torus brackets above under k = 2c, a = 2b, the two-to-one
+        correspondence of interior geodesics; each delegates to its torus
+        form, bit for bit, since doubling and halving are exact
 
     horocycle term: 1 / (1 + e^b), summing to 1/2 on the cusped torus.
 
@@ -37,8 +39,11 @@ torus boundary k and an interior geodesic b, and
 
     4 pi^2 - sum_b 8 [2 La(e^{-b}, tanh^2(m/2)) + L(sech^2(p/2))].
 
-Summation is compensated (Neumaier) in ascending length order, so the
-result is deterministic and order-dependence stays below 1e-14.
+`iter_terms` is the one evaluation path: it enumerates the spectrum and
+yields each record with its term and the running sum; `evaluate` and the
+CLI consume it.  Summation is compensated (Neumaier) in ascending length
+order, so the result is deterministic and order-dependence stays below
+1e-14.
 """
 
 import enum
@@ -47,7 +52,7 @@ from math import cosh, exp, expm1, pi, sqrt, tanh
 
 from dataclasses import dataclass
 
-from .curves import GeodesicRecord, enumerate_geodesics
+from .curves import DEFAULT_MAX_RECORDS, GeodesicRecord, enumerate_geodesics
 from .dilog import lasso, rogers
 from .errors import DomainError
 from .pants import foursphere_ortho, pants_geometry, torus_ortho
@@ -70,6 +75,7 @@ __all__ = [
     "torus_contribution_partial",
     "identity_term",
     "check_point_kind",
+    "iter_terms",
     "evaluate",
     "tail_estimate",
     "compensated_sum",
@@ -138,13 +144,15 @@ class RunningSum:
         self._sum = 0.0
         self._compensation = 0.0
 
-    def add(self, value: float) -> None:
+    def add(self, value: float) -> float:
+        """Feed `value`; returns the compensated running sum."""
         total = self._sum + value
         if abs(self._sum) >= abs(value):
             self._compensation += (self._sum - total) + value
         else:
             self._compensation += (value - total) + self._sum
         self._sum = total
+        return total + self._compensation
 
     @property
     def value(self) -> float:
@@ -221,44 +229,17 @@ def term_ortho_torus(k: float, m: float, q: float) -> float:
 
 def term_foursphere_ortho(c: float, m: float, p: float) -> float:
     """Bracket in the orthogeodesic lengths (m, p) of the cut four-holed sphere."""
-    _check_positive("c", c)
-    _check_positive("m", m)
-    _check_positive("p", p)
-    y = tanh(0.5 * m) ** 2
-    x = exp(-c)
-    if x >= y:
-        raise DomainError(
-            f"guard e^(-c) < tanh^2(m/2) violated (c={c!r}, m={m!r}): non-geometric input"
-        )
-    return rogers(tanh(0.5 * p) ** 2) + 2.0 * rogers(y) - 2.0 * lasso(x, y)
+    return term_ortho_torus(2.0 * c, m, p)
 
 
 def term_foursphere_simple(c: float, a: float) -> float:
     """Bracket in the boundary length c and interior length a alone."""
-    _check_positive("c", c)
-    _check_positive("a", a)
-    if a > 2.0 * _LIMIT_LENGTH:
-        return 0.0
-    m = max(c, 0.5 * a)
-    num = exp(c - m) + 2.0 * exp(-m) + exp(-c - m)
-    den = exp(c - m) + exp(-c - m) + exp(0.5 * a - m) + exp(-0.5 * a - m)
-    first = num / den
-    second = (1.0 + exp(-c - 0.5 * a)) / (1.0 + exp(-c))
-    third = -expm1(-0.5 * a) / (1.0 + exp(-c))
-    return rogers(first) + 2.0 * rogers(second) - 2.0 * rogers(third)
+    return term_one_holed(2.0 * c, 0.5 * a)
 
 
 def term_foursphere_cusped(a: float) -> float:
     """Bracket for the quadruply-punctured sphere, interior length a."""
-    _check_positive("a", a)
-    if a > 2.0 * _LIMIT_LENGTH:
-        return 0.0
-    sech_quarter = 2.0 * exp(-0.25 * a) / (1.0 + exp(-0.5 * a))
-    return (
-        rogers(sech_quarter * sech_quarter)
-        + 2.0 * rogers(0.5 * (1.0 + exp(-0.5 * a)))
-        - 2.0 * rogers(0.5 * -expm1(-0.5 * a))
-    )
+    return term_cusped(0.5 * a)
 
 
 def term_mcshane(b: float) -> float:
@@ -379,13 +360,12 @@ def identity_term(kind: IdentityKind, k: float, record: GeodesicRecord) -> float
         ortho = torus_ortho(k, b)
         return term_ortho_torus(k, ortho.m, ortho.q)
     if kind is IdentityKind.FOUR:
-        c = 0.5 * k
-        ortho = foursphere_ortho(c, 2.0 * b)
-        return term_foursphere_ortho(c, ortho.m, ortho.p)
+        ortho = foursphere_ortho(0.5 * k, 2.0 * b)
+        return term_ortho_torus(k, ortho.m, ortho.p)
     if kind is IdentityKind.FOUR_SIMPLE:
-        return term_foursphere_simple(0.5 * k, 2.0 * b)
+        return term_one_holed(k, b)
     if kind is IdentityKind.FOUR_CUSPED:
-        return term_foursphere_cusped(2.0 * b)
+        return term_cusped(b)
     if kind is IdentityKind.MCSHANE:
         return term_mcshane(b)
     raise DomainError(f"unknown identity kind {kind!r}")
@@ -400,27 +380,46 @@ def tail_estimate(k: float, cutoff: float) -> float:
     return 4.0 * (cosh(0.5 * k) + 1.0) * exp(-cutoff) * (1.0 + cutoff)
 
 
+def iter_terms(
+    kind: IdentityKind,
+    triple: TraceTriple,
+    cutoff: float,
+    *,
+    max_records: int = DEFAULT_MAX_RECORDS,
+):
+    """Yield (record, term, partial) over the spectrum of `triple`.
+
+    Records come in ascending length order; `partial` is the compensated
+    sum of the terms yielded so far.  The point is checked against `kind`
+    and the spectrum enumerated before the first yield.
+    """
+    k = triple.k
+    check_point_kind(kind, k)
+    add = RunningSum().add
+    for record in enumerate_geodesics(triple, cutoff, max_records=max_records):
+        term = identity_term(kind, k, record)
+        yield record, term, add(term)
+
+
 def evaluate(
     kind: IdentityKind,
     triple: TraceTriple,
     cutoff: float,
     *,
-    max_records: int | None = None,
+    max_records: int = DEFAULT_MAX_RECORDS,
 ) -> IdentityReport:
-    """Enumerate the spectrum of `triple` and sum the `kind` terms.
+    """Sum the `kind` terms of `iter_terms` into a report.
 
     Four-holed-sphere kinds take the torus point through the two-to-one
     correspondence of interior geodesics: boundary c = k/2 and interior
     length a = 2b for each torus record of length b.
     """
+    term_count, partial = 0, 0.0
+    for term_count, (_, _, partial) in enumerate(
+        iter_terms(kind, triple, cutoff, max_records=max_records), 1
+    ):
+        pass
     k = triple.k
-    check_point_kind(kind, k)
-    kwargs = {} if max_records is None else {"max_records": max_records}
-    records = enumerate_geodesics(triple, cutoff, **kwargs)
-    acc = RunningSum()
-    for record in records:
-        acc.add(identity_term(kind, k, record))
-    partial = acc.value
     target = 0.5 if kind is IdentityKind.MCSHANE else PI2_2
     parameters = {
         "x": triple.x,
@@ -435,7 +434,7 @@ def evaluate(
         kind=kind,
         parameters=parameters,
         cutoff=cutoff,
-        term_count=len(records),
+        term_count=term_count,
         partial_sum=partial,
         target=target,
         defect=target - partial,

@@ -38,7 +38,7 @@ certificate.
 import math
 from math import acosh, cosh, exp, fsum, sinh, sqrt
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DomainError, NoRealStructureError, NonHyperbolicError
 
@@ -94,7 +94,13 @@ def _kappa_slop(x, y, z):
 
 @dataclass(frozen=True)
 class TraceTriple:
-    """Point (x, y, z) of the relative character variety, boundary length k."""
+    """Point (x, y, z) of the relative character variety, boundary length k.
+
+    Constructors that solved for a requested k (`from_traces`,
+    `from_fenchel_nielsen`, `curves.reduce_to_minimal`) store it exactly,
+    through `dataclasses.replace`, instead of recovering it from kappa,
+    which is ill-conditioned near the cusp.
+    """
 
     x: float
     y: float
@@ -136,13 +142,6 @@ def trace_triple(x: float, y: float, z: float) -> TraceTriple:
     return TraceTriple(x, y, z, kappa, k)
 
 
-def _triple_with_known_boundary(x, y, z, k):
-    # constructors that solved for a requested k store it exactly instead of
-    # recovering it from kappa, which is ill-conditioned near the cusp
-    base = trace_triple(x, y, z)
-    return TraceTriple(base.x, base.y, base.z, base.kappa, k)
-
-
 def boundary_length(x: float, y: float, z: float) -> float:
     """Boundary length of the triple (x, y, z)."""
     return trace_triple(x, y, z).k
@@ -169,7 +168,7 @@ def from_traces(x: float, y: float, k: float) -> TraceTriple:
     z = 2.0 * rest / (x * y + sqrt(disc))  # stable form of (xy - sqrt(disc))/2
     if z <= 2.0:
         raise NonHyperbolicError(f"third trace {z!r} <= 2: not a hyperbolic structure")
-    return _triple_with_known_boundary(x, y, z, k)
+    return replace(trace_triple(x, y, z), k=k)
 
 
 def _crossing_scale(b, k):
@@ -183,7 +182,7 @@ def from_fenchel_nielsen(fn: FenchelNielsen) -> TraceTriple:
     x = 2.0 * cosh(0.5 * fn.b)
     y = 2.0 * p * cosh(0.5 * fn.t)
     z = 2.0 * p * cosh(0.5 * (fn.t + fn.b))
-    return _triple_with_known_boundary(x, y, z, fn.k)
+    return replace(trace_triple(x, y, z), k=fn.k)
 
 
 def fenchel_nielsen_matrices(fn: FenchelNielsen):

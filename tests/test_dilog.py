@@ -76,12 +76,6 @@ def test_rogers_rejects_bad_arguments():
         rogers(float("-inf"))
 
 
-def test_rogers_limit_floor():
-    assert rogers(-1e9, limit_floor=-1e6) == -PI2_6
-    # above the floor the value is computed
-    assert rogers(-2.0, limit_floor=-1e6) != -PI2_6
-
-
 def test_euler_relation():
     rng = random.Random(0)
     for _ in range(1000):

@@ -8,6 +8,7 @@ from hypident import (
     DomainError,
     FenchelNielsen,
     IdentityKind,
+    ResourceLimitError,
     compensated_sum,
     enumerate_geodesics,
     evaluate,
@@ -15,6 +16,7 @@ from hypident import (
     from_fenchel_nielsen,
     from_traces,
     identity_term,
+    iter_terms,
     lasso,
     markov_child,
     pants_sum_term,
@@ -337,3 +339,48 @@ def test_sum_order_independence_below_tolerance():
         shuffled = terms[:]
         rng.shuffle(shuffled)
         assert abs(compensated_sum(shuffled) - sorted_sum) <= 1e-14
+
+
+HOLED = from_fenchel_nielsen(FenchelNielsen(1.2, 0.4, 1.5))
+CUSPED_KINDS = (IdentityKind.THM12, IdentityKind.THM15, IdentityKind.FOUR_CUSPED,
+                IdentityKind.MCSHANE)
+
+
+def _point_for(kind):
+    return MODULAR if kind in CUSPED_KINDS else HOLED
+
+
+@pytest.mark.parametrize("kind", list(IdentityKind), ids=lambda kind: kind.value)
+def test_iter_terms_partials_are_compensated_prefix_sums(kind):
+    triple = _point_for(kind)
+    terms = []
+    for record, term, partial in iter_terms(kind, triple, 14.0):
+        assert term == identity_term(kind, triple.k, record)
+        terms.append(term)
+        assert partial == compensated_sum(terms)
+    assert len(terms) > 10
+
+
+@pytest.mark.parametrize("kind", list(IdentityKind), ids=lambda kind: kind.value)
+def test_iter_terms_agrees_with_evaluate(kind):
+    triple = _point_for(kind)
+    yielded = list(iter_terms(kind, triple, 14.0))
+    report = evaluate(kind, triple, 14.0)
+    assert len(yielded) == report.term_count
+    assert yielded[-1][2] == report.partial_sum
+    lengths = [record.length for record, _, _ in yielded]
+    assert lengths == sorted(lengths)
+
+
+def test_iter_terms_rejects_cusped_kind_at_holed_point():
+    for kind in CUSPED_KINDS:
+        with pytest.raises(DomainError):
+            next(iter_terms(kind, HOLED, 10.0))
+
+
+def test_iter_terms_passes_max_records_to_enumeration():
+    with pytest.raises(ResourceLimitError):
+        next(iter_terms(IdentityKind.THM12, MODULAR, 25.0, max_records=10))
+    with pytest.raises(ResourceLimitError):
+        evaluate(IdentityKind.THM12, MODULAR, 25.0, max_records=10)
+    assert len(list(iter_terms(IdentityKind.THM12, MODULAR, 25.0, max_records=174))) == 174
