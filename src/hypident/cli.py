@@ -66,20 +66,13 @@ def _parse_floats(text, count, option):
 
 
 def _point_from_args(args):
-    traces = getattr(args, "traces", None)
-    fn = getattr(args, "fn", None)
-    if (traces is None) == (fn is None):
+    if (args.traces is None) == (args.fn is None):
         raise _UsageError("exactly one of --traces x,y,z or --fn b,t,k is required")
-    if traces is not None:
-        x, y, z = _parse_floats(traces, 3, "--traces")
+    if args.traces is not None:
+        x, y, z = _parse_floats(args.traces, 3, "--traces")
         return trace_triple(x, y, z)
-    b, t, k = _parse_floats(fn, 3, "--fn")
+    b, t, k = _parse_floats(args.fn, 3, "--fn")
     return from_fenchel_nielsen(FenchelNielsen(b, t, k))
-
-
-def _add_point_options(parser):
-    parser.add_argument("--traces", help="trace triple x,y,z")
-    parser.add_argument("--fn", help="Fenchel-Nielsen data b,t,k")
 
 
 def _add_common(parser, with_identity):
@@ -89,7 +82,8 @@ def _add_common(parser, with_identity):
             required=True,
             choices=[kind.value for kind in IdentityKind],
         )
-    _add_point_options(parser)
+    parser.add_argument("--traces", help="trace triple x,y,z")
+    parser.add_argument("--fn", help="Fenchel-Nielsen data b,t,k")
     parser.add_argument("--cutoff", type=float, required=True, help="length cutoff")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
 

@@ -13,19 +13,18 @@ which preserves kappa = x^2 + y^2 + z^2 - xyz, because replacing z by
 xy - z exchanges tr(AB) and tr(AB^{-1}).
 
 `enumerate_geodesics` walks this tree breadth-first from the minimal
-triangle.  Ordered triples (v1, v2, v3) of slope vectors with v3 = v1 + v2
-spawn two children
-
-    (v1, v3, v1 + v3)  with traces (x, z, xz - y)
-    (v3, v2, v3 + v2)  with traces (z, y, zy - x)
-
-and two seed triangles, sharing the root edge {(0,1), (1,0)}, cover the
-whole tree: ((0,1), (1,0), (1,1)) and ((0,1), (-1,0), (-1,1)).  Every
-primitive class appears exactly once.  Descent through an edge stops when
-the new trace is >= both retained traces and its geodesic is already longer
-than the cutoff; this prune rule is justified by the monotone growth of
-traces away from the minimal triangle and is enforced by the
-pruning-soundness tests rather than by proof.
+triangle.  A queue entry (a, b, ta, tb, t) is a triangle that keeps slope
+vectors a and b, with traces ta and tb, and adds their mediant v = a + b,
+with trace t.  Popping it emits v and queues the children
+(a, v, ta, t, ta t - tb) and (v, b, t, tb, t tb - ta).  After the roots
+0/1 and 1/0, the root edge is crossed both ways, by ((0,1), (1,0), x, y, z)
+and ((0,1), (-1,0), x, y, xy - z); every vector formed has q >= 1, and
+every primitive class appears exactly once.  A child is pruned before it
+is queued when its trace exceeds the cutoff and is >= both retained
+traces; the monotone growth of traces away from the minimal triangle
+justifies this, and the pruning-soundness tests enforce it.  A NaN trace
+(inf - inf on a huge unreduced root) fails that test, so its child is
+kept and ends in a typed refusal instead of silently losing a subtree.
 
 Slope arithmetic is exact (Python integers); traces are binary64.
 
@@ -38,8 +37,8 @@ parents), multiplies the explicit Fenchel-Nielsen matrices, and reports
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import cosh, gcd
+from operator import attrgetter
 
 from .errors import DomainError, ResourceLimitError
 from .torus import (
@@ -68,7 +67,10 @@ DEFAULT_MAX_RECORDS = 10_000_000
 
 @dataclass(frozen=True)
 class Slope:
-    """Primitive slope p/q in canonical form: q >= 1, or (1, 0) for infinity."""
+    """Primitive slope p/q in canonical form: q >= 1, or (1, 0) for infinity.
+
+    Slopes compare in rational order, with 1/0 last.
+    """
 
     p: int
     q: int
@@ -79,17 +81,9 @@ class Slope:
         if gcd(abs(self.p), self.q) != 1:
             raise DomainError(f"slope ({self.p}, {self.q}) is not primitive")
 
-    @staticmethod
-    def canonical(p: int, q: int) -> "Slope":
-        if q < 0 or (q == 0 and p < 0):
-            p, q = -p, -q
-        return Slope(p, q)
-
-    def sort_key(self):
-        # finite slopes in rational order, then the infinite slope
-        if self.q == 0:
-            return (1, Fraction(0))
-        return (0, Fraction(self.p, self.q))
+    def __lt__(self, other):
+        # q >= 0 on both sides, so cross-multiplying keeps the order
+        return self.p * other.q < other.p * self.q
 
     def __str__(self):
         return f"{self.p}/{self.q}"
@@ -134,10 +128,6 @@ def reduce_to_minimal(triple: TraceTriple) -> TraceTriple:
             return replace(trace_triple(*coords), k=triple.k)
 
 
-def _mediant(u, v):
-    return (u[0] + v[0], u[1] + v[1])
-
-
 def enumerate_geodesics(
     triple: TraceTriple,
     length_cutoff: float,
@@ -147,14 +137,20 @@ def enumerate_geodesics(
 ):
     """All simple closed geodesics of length <= `length_cutoff`, each once.
 
-    Records are sorted by (length, slope) ascending.  Slopes are assigned in
-    the marking of the tree root: the root triangle carries 0/1, 1/0, 1/1,
-    and each child triangle's new slope is the Farey mediant of the two it
-    retains.  By default the root is `reduce_to_minimal(triple)`; pass
-    ``reduce=False`` to keep the marking of `triple` itself.
+    Records are sorted by (length, slope) ascending, slopes in rational
+    order.  Slopes are assigned in the marking of the tree root: the root
+    edge joins 0/1 and 1/0, with traces x and y, and its two triangles add
+    1/1 (trace z) and -1/1 (trace xy - z).  By default the root is
+    `reduce_to_minimal(triple)`; pass ``reduce=False`` to keep the marking
+    of `triple` itself.
 
     Distinct slopes of equal length stay distinct records, so spectrum
     multiplicity is automatic.
+
+    Each popped entry (a, b, ta, tb, t) emits its mediant a + b when t is
+    within the cutoff, and each child is pruned before it is queued (see
+    the module docstring).  A NaN trace is kept and ends in
+    `NonHyperbolicError`, or in `ResourceLimitError` past `max_records`.
     """
     if not (math.isfinite(length_cutoff) and length_cutoff > 0.0):
         raise DomainError(f"length cutoff must be positive, got {length_cutoff!r}")
@@ -162,46 +158,33 @@ def enumerate_geodesics(
     x0, y0, z0 = root.x, root.y, root.z
     trace_cutoff = 2.0 * cosh(0.5 * length_cutoff)
 
-    emitted = {}
-
-    def emit(vector, trace):
-        if trace > trace_cutoff:
-            return
-        key = Slope.canonical(*vector)
-        assert key not in emitted, f"slope {key} enumerated twice"
-        emitted[key] = trace
+    emitted = {Slope(p, q): t for p, q, t in ((0, 1, x0), (1, 0, y0)) if not t > trace_cutoff}
+    queue = deque((((0, 1), (1, 0), x0, y0, z0), ((0, 1), (-1, 0), x0, y0, x0 * y0 - z0)))
+    while queue:
+        a, b, ta, tb, t = queue.popleft()
+        v = (a[0] + b[0], a[1] + b[1])
+        # `not t > cutoff` keeps a NaN trace for the record pass to refuse
+        if not t > trace_cutoff:
+            slope = Slope(*v)
+            assert slope not in emitted, f"slope {slope} enumerated twice"
+            emitted[slope] = t
+        # checked on every pop, so the two root emits count too
         if len(emitted) > max_records:
             raise ResourceLimitError(
                 f"enumeration exceeded {max_records} records below cutoff {length_cutoff}"
             )
-
-    seed_a = (((0, 1), (1, 0), (1, 1)), (x0, y0, z0))
-    seed_b = (((0, 1), (-1, 0), (-1, 1)), (x0, y0, x0 * y0 - z0))
-    for vector, trace in zip(seed_a[0], seed_a[1]):
-        emit(vector, trace)
-    emit(seed_b[0][2], seed_b[1][2])
-
-    queue = deque((seed_a, seed_b))
-    while queue:
-        (v1, v2, v3), (t1, t2, t3) = queue.popleft()
-        for kept_a, kept_b, ta, tb, t_removed in (
-            (v1, v3, t1, t3, t2),
-            (v3, v2, t3, t2, t1),
-        ):
-            child_trace = ta * tb - t_removed
-            too_long = child_trace > trace_cutoff
-            if too_long and child_trace >= ta and child_trace >= tb:
+        for child in ((a, v, ta, t, ta * t - tb), (v, b, t, tb, t * tb - ta)):
+            _, _, ca, cb, c = child
+            # a NaN compares false here, so its subtree is kept, not lost
+            if c > trace_cutoff and c >= ca and c >= cb:
                 continue
-            child_vector = _mediant(kept_a, kept_b)
-            if not too_long:
-                emit(child_vector, child_trace)
-            queue.append(((kept_a, kept_b, child_vector), (ta, tb, child_trace)))
+            queue.append(child)
 
     records = [
         GeodesicRecord(slope, trace, length_from_trace(trace))
         for slope, trace in emitted.items()
     ]
-    records.sort(key=lambda r: (r.length, r.slope.sort_key()))
+    records.sort(key=attrgetter("length", "slope"))
     return records
 
 

@@ -213,18 +213,23 @@ def term_trace_squared(trace_squared: float) -> float:
     )
 
 
+def _seam_guard(k, m):
+    """tanh^2(m/2), once the seam guard e^(-k/2) < tanh^2(m/2) holds."""
+    y = tanh(0.5 * m) ** 2
+    if exp(-0.5 * k) >= y:
+        raise DomainError(
+            f"guard e^(-k/2) < tanh^2(m/2) violated (k={k!r}, m={m!r}): non-geometric input"
+        )
+    return y
+
+
 def term_ortho_torus(k: float, m: float, q: float) -> float:
     """Bracket in the orthogeodesic lengths (m, q) of the cut torus."""
     _check_positive("k", k)
     _check_positive("m", m)
     _check_positive("q", q)
-    y = tanh(0.5 * m) ** 2
-    x = exp(-0.5 * k)
-    if x >= y:
-        raise DomainError(
-            f"guard e^(-k/2) < tanh^2(m/2) violated (k={k!r}, m={m!r}): non-geometric input"
-        )
-    return rogers(tanh(0.5 * q) ** 2) + 2.0 * rogers(y) - 2.0 * lasso(x, y)
+    y = _seam_guard(k, m)
+    return rogers(tanh(0.5 * q) ** 2) + 2.0 * rogers(y) - 2.0 * lasso(exp(-0.5 * k), y)
 
 
 def term_foursphere_ortho(c: float, m: float, p: float) -> float:
@@ -289,16 +294,11 @@ def pants_sum_term_via_complement(l1: float, l2: float, l3: float) -> float:
 
 
 def _quasi_pants_guards(k, b, m):
-    y = tanh(0.5 * m) ** 2
-    if exp(-b) >= y:
+    if exp(-b) >= tanh(0.5 * m) ** 2:
         raise DomainError(
             f"guard e^(-b) < tanh^2(m/2) violated (b={b!r}, m={m!r}): non-geometric input"
         )
-    if exp(-0.5 * k) >= y:
-        raise DomainError(
-            f"guard e^(-k/2) < tanh^2(m/2) violated (k={k!r}, m={m!r}): non-geometric input"
-        )
-    return y
+    return _seam_guard(k, m)
 
 
 def quasi_pants_term(k: float, b: float, ortho=None) -> float:

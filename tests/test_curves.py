@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import acosh, gcd
 
 import pytest
@@ -69,8 +70,8 @@ def test_enumerate_root_invariance():
 def test_enumerate_sorted_and_distinct():
     records = enumerate_geodesics(trace_triple(3.0, 3.0, 4.0), 14.0)
     assert len({(r.slope.p, r.slope.q) for r in records}) == len(records)
-    keys = [(r.length, r.slope.sort_key()) for r in records]
-    assert keys == sorted(keys)
+    for u, v in zip(records, records[1:]):
+        assert u.length < v.length or (u.length == v.length and u.slope < v.slope)
     for r in records:
         assert abs(r.length - 2.0 * acosh(0.5 * r.trace)) <= 1e-14
 
@@ -135,17 +136,60 @@ def test_enumerate_resource_cap():
         enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 25.0, max_records=10)
 
 
+def test_enumerate_keeps_nan_children():
+    # below this huge unreduced root the traces overflow and inf - inf gives
+    # NaN; the prune test lets NaN through, so the walk keeps those subtrees
+    # and hits the record cap instead of returning a spectrum with holes
+    triple = trace_triple(13685.580536680813, 274139491.392735, 3751758067708.733)
+    with pytest.raises(ResourceLimitError):
+        enumerate_geodesics(triple, 14.0, reduce=False, max_records=20_000)
+
+
 def test_enumerate_rejects_bad_cutoff():
     with pytest.raises(DomainError):
         enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 0.0)
 
 
 def test_slope_canonical_and_order():
-    assert Slope.canonical(1, -2) == Slope(-1, 2)
-    assert Slope.canonical(-1, 0) == Slope(1, 0)
-    assert Slope.canonical(0, -1) == Slope(0, 1)
-    assert Slope(0, 1).sort_key() < Slope(1, 2).sort_key() < Slope(1, 0).sort_key()
-    assert Slope(-1, 1).sort_key() < Slope(0, 1).sort_key()
+    for p, q in ((1, -2), (-1, 0), (0, -1)):
+        with pytest.raises(DomainError):
+            Slope(p, q)
+    assert Slope(0, 1) < Slope(1, 2) < Slope(1, 0)
+    assert Slope(-1, 1) < Slope(0, 1)
+    assert not Slope(1, 0) < Slope(1, 0)
+
+
+def _rational_key(slope):
+    # independent oracle for the slope order: exact rationals, 1/0 last
+    return (1, Fraction(0)) if slope.q == 0 else (0, Fraction(slope.p, slope.q))
+
+
+def test_slope_order_matches_fractions():
+    rng = random.Random(7)
+    slopes = [Slope(1, 0), Slope(0, 1)]
+    while len(slopes) < 300:
+        p, q = rng.randint(-60, 60), rng.randint(1, 60)
+        if gcd(abs(p), q) == 1:
+            slopes.append(Slope(p, q))
+    for u in slopes:
+        assert not Slope(1, 0) < u
+        for v in rng.sample(slopes, 30) + [Slope(1, 0)]:
+            assert (u < v) == (_rational_key(u) < _rational_key(v))
+
+
+@pytest.mark.parametrize(
+    "triple, cutoff",
+    [
+        (trace_triple(3.0, 3.0, 3.0), 14.0),  # 44 equal-length neighbours
+        (from_fenchel_nielsen(FenchelNielsen(1.2, 0.0, 1.5)), 16.0),  # 34
+    ],
+)
+def test_enumerate_equal_lengths_in_rational_order(triple, cutoff):
+    records = enumerate_geodesics(triple, cutoff)
+    ties = [(u, v) for u, v in zip(records, records[1:]) if u.length == v.length]
+    assert len(ties) >= 30
+    for u, v in ties:
+        assert _rational_key(u.slope) < _rational_key(v.slope)
 
 
 def test_slope_rejects_non_primitive():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from math import acosh, cosh, exp, pi, tanh
 
 import pytest
@@ -113,7 +114,8 @@ def test_ortho_torus_matches_one_holed():
 
 
 def test_ortho_torus_guard():
-    with pytest.raises(DomainError):
+    message = "guard e^(-k/2) < tanh^2(m/2) violated (k=0.01, m=0.1)"
+    with pytest.raises(DomainError, match=re.escape(message)):
         term_ortho_torus(0.01, 0.1, 1.0)
 
 
@@ -207,10 +209,13 @@ def test_quasi_pants_sum_matches_partial_form():
 
 def test_quasi_pants_guards():
     # geometric data always satisfies the guards; a hand-fed short seam
-    # violates them and must be rejected
-    with pytest.raises(DomainError):
+    # violates them and must be rejected.  The b guard is checked first, so
+    # it names the first point, which breaks the k guard as well
+    message = "guard e^(-b) < tanh^2(m/2) violated (b=3.0, m=0.05)"
+    with pytest.raises(DomainError, match=re.escape(message)):
         quasi_pants_term(2.0, 3.0, ortho=(0.05, 1.0, 1.0))
-    with pytest.raises(DomainError):
+    message = "guard e^(-k/2) < tanh^2(m/2) violated (k=0.001, m=1.0)"
+    with pytest.raises(DomainError, match=re.escape(message)):
         quasi_pants_term(0.001, 3.0, ortho=(1.0, 1.0, 1.0))
 
 
