@@ -165,6 +165,8 @@ def _parse_sweep_range(text):
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise _UsageError(f"malformed number in --vary={text!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise _UsageError(f"--vary range must be finite, got {text!r}")
     if step <= 0.0 or stop < start:
         raise _UsageError(f"--vary range must have step > 0 and stop >= start, got {text!r}")
     # nudge against float rounding so nominal endpoints stay included
@@ -331,10 +333,7 @@ def run(argv, out=None, err=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args, out)
-    except _UsageError as exc:
-        err.write(f"error: {exc}\n")
-        return 2
-    except (DomainError, ResourceLimitError) as exc:
+    except (_UsageError, DomainError, ResourceLimitError) as exc:
         err.write(f"error: {exc}\n")
         return 2
 

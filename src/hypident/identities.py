@@ -50,7 +50,7 @@ import enum
 import math
 from math import cosh, exp, expm1, pi, sqrt, tanh
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .curves import DEFAULT_MAX_RECORDS, GeodesicRecord, enumerate_geodesics
 from .dilog import lasso, rogers
@@ -123,16 +123,7 @@ class IdentityReport:
     tail_estimate: float
 
     def to_dict(self):
-        return {
-            "kind": self.kind.value,
-            "parameters": dict(self.parameters),
-            "cutoff": self.cutoff,
-            "term_count": self.term_count,
-            "partial_sum": self.partial_sum,
-            "target": self.target,
-            "defect": self.defect,
-            "tail_estimate": self.tail_estimate,
-        }
+        return {**asdict(self), "kind": self.kind.value}
 
 
 class RunningSum:
@@ -154,16 +145,13 @@ class RunningSum:
         self._sum = total
         return total + self._compensation
 
-    @property
-    def value(self) -> float:
-        return self._sum + self._compensation
-
 
 def compensated_sum(values) -> float:
-    acc = RunningSum()
+    add = RunningSum().add
+    total = 0.0
     for v in values:
-        acc.add(v)
-    return acc.value
+        total = add(v)
+    return total
 
 
 def _check_positive(name, value):
@@ -329,13 +317,14 @@ def torus_contribution_partial(k: float, records) -> float:
     value as the sum of `quasi_pants_term` over the full spectrum.
     """
     _check_positive("k", k)
-    acc = RunningSum()
+    add = RunningSum().add
+    total = 0.0
     for record in records:
         b = record.length
         m, p, _ = torus_ortho(k, b)
         y = _quasi_pants_guards(k, b, m)
-        acc.add(8.0 * (2.0 * lasso(exp(-b), y) + rogers(1.0 / cosh(0.5 * p) ** 2)))
-    return 4.0 * pi * pi - acc.value
+        total = add(8.0 * (2.0 * lasso(exp(-b), y) + rogers(1.0 / cosh(0.5 * p) ** 2)))
+    return 4.0 * pi * pi - total
 
 
 def check_point_kind(kind: IdentityKind, k: float) -> None:

@@ -11,9 +11,9 @@ tr[A, B] = -2 cosh(k/2) the boundary length k satisfies
     cosh(k/2) = (2 - kappa) / 2,
 
 so kappa <= 0 with kappa = 0 exactly at the cusp (where the commutator
-trace is -2).  kappa is evaluated with exact product splitting plus fsum,
-so the stored value is the correctly rounded combination of the stored
-coordinates.
+trace is -2).  kappa is evaluated exactly in integers from the stored
+coordinates and rounded once, so the stored value is the correctly rounded
+combination of them; a kappa beyond the float range is refused.
 
 Fenchel-Nielsen data (b, t, k) - length of a chosen simple closed geodesic,
 twist along it, boundary length - is realized by explicit unit-determinant
@@ -36,7 +36,7 @@ certificate.
 """
 
 import math
-from math import acosh, cosh, exp, fsum, sinh, sqrt
+from math import acosh, cosh, exp, sinh, sqrt
 
 from dataclasses import dataclass, replace
 
@@ -56,35 +56,23 @@ __all__ = [
     "mat_trace",
 ]
 
-_SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp splitting constant
-
-
-def _two_product(a, b):
-    """Exact product a*b as a (rounded, error) pair of doubles."""
-    p = a * b
-    c = _SPLITTER * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    c = _SPLITTER * b
-    b_hi = c - (c - b)
-    b_lo = b - b_hi
-    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return p, err
-
 
 def _kappa(x, y, z):
     """Correctly rounded x^2 + y^2 + z^2 - xyz."""
-    pieces = []
-    for v in (x, y, z):
-        p, e = _two_product(v, v)
-        pieces.append(p)
-        pieces.append(e)
-    hi, lo = _two_product(x, y)
-    for part in (hi, lo):
-        p, e = _two_product(part, z)
-        pieces.append(-p)
-        pieces.append(-e)
-    return fsum(pieces)
+    (a, d), (b, e), (c, f) = x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio()
+    num = (a * e * f) ** 2 + (b * d * f) ** 2 + (c * d * e) ** 2 - a * b * c * d * e * f
+    try:
+        return num / (d * e * f) ** 2  # int / int rounds correctly
+    except OverflowError:
+        if num > 0:
+            raise NonHyperbolicError(
+                f"x^2+y^2+z^2-xyz overflows to +inf at x={x!r}, y={y!r}, z={z!r}:"
+                " no hyperbolic or cusped boundary"
+            ) from None
+        raise DomainError(
+            f"x^2+y^2+z^2-xyz overflows to -inf at x={x!r}, y={y!r}, z={z!r}:"
+            " boundary length beyond the float range"
+        ) from None
 
 
 def _kappa_slop(x, y, z):

@@ -204,3 +204,26 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "p,q,trace,length"
+
+
+def test_sweep_range_must_be_finite():
+    # start, stop and step each NaN or infinite; step=inf is no longer a one-row sweep
+    for vary in ("k=nan:1:0.1", "k=0.5:inf:1", "k=0.5:1:nan", "k=0.5:1:inf", "k=-inf:1:0.1"):
+        code, out, err = invoke(
+            ["sweep", "--identity", "thm11", "--vary", vary, "--fn", "1.2,0.3,_",
+             "--cutoff", "5"]
+        )
+        assert (code, out) == (2, ""), vary
+        assert err == f"error: --vary range must be finite, got {vary!r}\n"
+
+
+def test_out_of_range_traces_exit_two():
+    # kappa beyond the float range: typed refusal, not a traceback or a NaN surface
+    for argv in (
+        ["spectrum", "--traces", "1e200,1e200,1e200", "--cutoff", "14"],
+        ["verify", "--identity", "thm12", "--traces", "3,3,1e155", "--cutoff", "5"],
+    ):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: x^2+y^2+z^2-xyz overflows"), argv
+        assert err.count("\n") == 1, argv

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import acosh, cosh, sqrt
 
 import pytest
@@ -14,8 +15,9 @@ from hypident import (
     from_fenchel_nielsen,
     from_traces,
     length_from_trace,
+    trace_triple,
 )
-from hypident.torus import mat_inv, mat_mul, mat_trace
+from hypident.torus import _kappa, mat_inv, mat_mul, mat_trace
 
 
 def test_boundary_length_cusp_cases():
@@ -35,6 +37,42 @@ def test_boundary_length_rejects_bad_triples():
         boundary_length(2.0, 3.0, 4.0)  # trace not > 2
     with pytest.raises(NonHyperbolicError):
         boundary_length(3.0, 3.0, float("nan"))
+
+
+def _kappa_oracle(x, y, z):
+    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    return float(x * x + y * y + z * z - x * y * z)
+
+
+def test_kappa_is_correctly_rounded():
+    rng = random.Random(20261018)
+    triples = []
+    for _ in range(1000):
+        # trace excesses log-uniform in [1e-12, 1e150], with xyz below 1e300
+        e1, e2 = rng.uniform(-12.0, 150.0), rng.uniform(-12.0, 150.0)
+        e3 = rng.uniform(-12.0, min(150.0, 300.0 - max(e1, 0.0) - max(e2, 0.0)))
+        traces = [2.0 + 10.0 ** e for e in (e1, e2, e3)]
+        rng.shuffle(traces)
+        triples.append(tuple(traces))
+    for _ in range(1000):
+        # near-cusp Fenchel-Nielsen coordinates, kappa a tiny difference of large terms
+        fn = FenchelNielsen(10.0 ** rng.uniform(-3.0, 1.5), rng.uniform(-5.0, 5.0),
+                            10.0 ** rng.uniform(-12.0, -4.0))
+        t = from_fenchel_nielsen(fn)
+        triples.append((t.x, t.y, t.z))
+    for x, y, z in triples:
+        assert _kappa(x, y, z) == _kappa_oracle(x, y, z), (x, y, z)
+
+
+def test_kappa_beyond_float_range_is_refused():
+    with pytest.raises(DomainError) as info:
+        trace_triple(1e200, 1e200, 1e200)
+    assert not isinstance(info.value, NonHyperbolicError)
+    for traces in ((1e160, 3.0, 3.0), (3.0, 3.0, 1e155)):
+        with pytest.raises(NonHyperbolicError, match="overflows to \\+inf"):
+            trace_triple(*traces)
+    # kappa of order -1e307 is still in range and correctly rounded
+    assert trace_triple(1e154, 2.5, 6.8e153).kappa == -2.3759999999999993e307
 
 
 def test_from_traces_examples():
