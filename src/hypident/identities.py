@@ -15,8 +15,12 @@ classical horocycle identity).  The term functions:
     trace-squared form, s = tr^2 > 4 (equivalent to the cusped form):
         L(4/s) + 2 L(s/(s+sqrt(s^2-4s))) - 2 L(sqrt(s^2-4s)/(s+sqrt(s^2-4s)))
 
-    orthogeodesic form of the one-holed torus (seams m, q of the cut pants):
-        L(tanh^2(q/2)) + 2 L(tanh^2(m/2)) - 2 La(e^{-k/2}, tanh^2(m/2))
+    orthogeodesic form of the one-holed torus (seams m, q of the cut pants),
+    x = e^{-k/2}, y = tanh^2(m/2); the lasso's own L(y) cancels the 2 L(y):
+        L(tanh^2(q/2)) + 2 L(y) - 2 La(x, y)
+        = L(tanh^2(q/2)) + 2 L((1-x)/(1-xy)) - 2 L((1-y)/(1-xy)),
+    with the guard x < y and all arguments read in 1 - x and 1 - y =
+    sech^2(m/2), which stay accurate where x and y round to 1
 
     four-holed sphere with boundaries c, interior geodesic of length a:
         the orthogeodesic, simple (in c and a only) and cusped brackets are
@@ -154,6 +158,10 @@ def compensated_sum(values) -> float:
     return total
 
 
+def _bracket(first, second, third):
+    return rogers(first) + 2.0 * rogers(second) - 2.0 * rogers(third)
+
+
 def _check_positive(name, value):
     if not math.isfinite(value) or value <= 0.0:
         raise DomainError(f"{name} must be a positive length, got {value!r}")
@@ -173,7 +181,7 @@ def term_one_holed(k: float, b: float) -> float:
     # cosh(k/4 + b/2)/(cosh(k/4) e^{b/2}) = (1 + e^{-k/2 - b})/(1 + e^{-k/2})
     second = (1.0 + exp(-0.5 * k - b)) / (1.0 + exp(-0.5 * k))
     third = -expm1(-b) / (1.0 + exp(-0.5 * k))
-    return rogers(first) + 2.0 * rogers(second) - 2.0 * rogers(third)
+    return _bracket(first, second, third)
 
 
 def term_cusped(b: float) -> float:
@@ -182,11 +190,7 @@ def term_cusped(b: float) -> float:
     if b > _LIMIT_LENGTH:
         return 0.0
     sech_half = 2.0 * exp(-0.5 * b) / (1.0 + exp(-b))
-    return (
-        rogers(sech_half * sech_half)
-        + 2.0 * rogers(0.5 * (1.0 + exp(-b)))
-        - 2.0 * rogers(0.5 * -expm1(-b))
-    )
+    return _bracket(sech_half * sech_half, 0.5 * (1.0 + exp(-b)), 0.5 * -expm1(-b))
 
 
 def term_trace_squared(trace_squared: float) -> float:
@@ -194,21 +198,7 @@ def term_trace_squared(trace_squared: float) -> float:
     if not math.isfinite(trace_squared) or trace_squared <= 4.0:
         raise DomainError(f"trace squared must exceed 4, got {trace_squared!r}")
     u = sqrt((trace_squared - 4.0) / trace_squared)  # sqrt(s^2-4s)/s
-    return (
-        rogers(4.0 / trace_squared)
-        + 2.0 * rogers(1.0 / (1.0 + u))
-        - 2.0 * rogers(u / (1.0 + u))
-    )
-
-
-def _seam_guard(k, m):
-    """tanh^2(m/2), once the seam guard e^(-k/2) < tanh^2(m/2) holds."""
-    y = tanh(0.5 * m) ** 2
-    if exp(-0.5 * k) >= y:
-        raise DomainError(
-            f"guard e^(-k/2) < tanh^2(m/2) violated (k={k!r}, m={m!r}): non-geometric input"
-        )
-    return y
+    return _bracket(4.0 / trace_squared, 1.0 / (1.0 + u), u / (1.0 + u))
 
 
 def term_ortho_torus(k: float, m: float, q: float) -> float:
@@ -216,8 +206,16 @@ def term_ortho_torus(k: float, m: float, q: float) -> float:
     _check_positive("k", k)
     _check_positive("m", m)
     _check_positive("q", q)
-    y = _seam_guard(k, m)
-    return rogers(tanh(0.5 * q) ** 2) + 2.0 * rogers(y) - 2.0 * lasso(exp(-0.5 * k), y)
+    cx = -expm1(-0.5 * k)
+    cy = 1.0 / cosh(0.5 * m) ** 2 if m < _LIMIT_LENGTH else 0.0
+    # geometric seams approach equality like e^{-b}, to rounding for long b:
+    # hence a relative slack of 2^-46 (64 ulps)
+    if cy > cx * (1.0 + 2.0**-46):
+        raise DomainError(
+            f"guard e^(-k/2) < tanh^2(m/2) violated (k={k!r}, m={m!r}): non-geometric input"
+        )
+    d = cx + exp(-0.5 * k) * cy  # 1 - e^{-k/2} tanh^2(m/2)
+    return _bracket(tanh(0.5 * q) ** 2, cx / d, cy / d)
 
 
 def term_foursphere_ortho(c: float, m: float, p: float) -> float:
@@ -281,12 +279,13 @@ def pants_sum_term_via_complement(l1: float, l2: float, l3: float) -> float:
     return 4.0 * pi * pi - 8.0 * (core + _pants_lasso_sum((l1, l2, l3), seams))
 
 
-def _quasi_pants_guards(k, b, m):
-    if exp(-b) >= tanh(0.5 * m) ** 2:
+def _lasso_guard(b, m):
+    y = tanh(0.5 * m) ** 2
+    if exp(-b) >= y:
         raise DomainError(
             f"guard e^(-b) < tanh^2(m/2) violated (b={b!r}, m={m!r}): non-geometric input"
         )
-    return _seam_guard(k, m)
+    return y
 
 
 def quasi_pants_term(k: float, b: float, ortho=None) -> float:
@@ -299,13 +298,9 @@ def quasi_pants_term(k: float, b: float, ortho=None) -> float:
     _check_positive("k", k)
     _check_positive("b", b)
     m, p, q = ortho if ortho is not None else torus_ortho(k, b)
-    y = _quasi_pants_guards(k, b, m)
+    y = _lasso_guard(b, m)  # before the seam guard of term_ortho_torus
     return 8.0 * (
-        rogers(tanh(0.5 * q) ** 2)
-        + 2.0 * rogers(y)
-        - rogers(1.0 / cosh(0.5 * p) ** 2)
-        - 2.0 * lasso(exp(-b), y)
-        - 2.0 * lasso(exp(-0.5 * k), y)
+        term_ortho_torus(k, m, q) - rogers(1.0 / cosh(0.5 * p) ** 2) - 2.0 * lasso(exp(-b), y)
     )
 
 
@@ -322,7 +317,7 @@ def torus_contribution_partial(k: float, records) -> float:
     for record in records:
         b = record.length
         m, p, _ = torus_ortho(k, b)
-        y = _quasi_pants_guards(k, b, m)
+        y = _lasso_guard(b, m)
         total = add(8.0 * (2.0 * lasso(exp(-b), y) + rogers(1.0 / cosh(0.5 * p) ** 2)))
     return 4.0 * pi * pi - total
 

@@ -36,6 +36,9 @@ between the two length-b boundaries satisfies
 
     tanh^2(q/2) = (cosh(k/2) + 1) / (cosh(k/2) + cosh b).
 
+p and q shrink like e^{-a/4} and e^{-b/2}: both are taken from asinh of
+sinh(p/2) and sinh(q/2), since acosh of a ratio near 1 cancels.
+
 Degenerate boundary lengths (below 1e-12) are rejected rather than extended
 by limits; cusps enter the library only through the dedicated cusped term
 functions in `identities`.
@@ -130,9 +133,9 @@ def foursphere_ortho(c: float, a: float) -> Orthogeodesics:
     _check_length("a", a)
     ch_c2, ch_a2 = cosh(0.5 * c), cosh(0.5 * a)
     m = acosh(ch_c2 * (1.0 + ch_a2) / (sinh(0.5 * c) * sinh(0.5 * a)))
-    # tanh^2(p/2) = (cosh c + 1)/(cosh c + cosh(a/2)), rearranged so the
-    # denominator cosh(a/2) - 1 = 2 sinh^2(a/4) never cancels
-    p = 2.0 * acosh(sqrt((cosh(c) + ch_a2) / (2.0 * sinh(0.25 * a) ** 2)))
+    # tanh^2(p/2) = (cosh c + 1)/(cosh c + cosh(a/2)), rearranged as
+    # sinh(p/2) = cosh(c/2)/sinh(a/4): nothing cancels
+    p = 2.0 * asinh(ch_c2 / sinh(0.25 * a))
     q = acosh((ch_a2 + ch_c2 * ch_c2) / (sinh(0.5 * c) ** 2))
     return Orthogeodesics(m, p, q)
 
@@ -152,8 +155,8 @@ def torus_ortho(k: float, b: float) -> Orthogeodesics:
     # cosh^2(p/2) = (cosh(k/2) + 1)(cosh(k/2) + cosh b) / sinh^2(k/2)
     p = 2.0 * acosh(sqrt((ch_k2 + 1.0) * (ch_k2 + cosh(b))) / sinh(0.5 * k))
     # tanh^2(q/2) = (cosh(k/2) + 1)/(cosh(k/2) + cosh b), rearranged as for
-    # the four-holed sphere: cosh b - 1 = 2 sinh^2(b/2) never cancels
-    q = 2.0 * acosh(sqrt((ch_k2 + cosh(b)) / (2.0 * sinh(0.5 * b) ** 2)))
+    # the four-holed sphere: sinh(q/2) = cosh(k/4)/sinh(b/2)
+    q = 2.0 * asinh(cosh(0.25 * k) / sinh(0.5 * b))
     return Orthogeodesics(m, p, q)
 
 

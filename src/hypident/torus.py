@@ -76,8 +76,10 @@ def _kappa(x, y, z):
 
 
 def _kappa_slop(x, y, z):
-    # rounding allowance for coordinates that were themselves computed
-    return 32.0 * 2.220446049250313e-16 * (x * x + y * y + z * z + abs(x * y * z))
+    # rounding allowance for coordinates that were themselves computed:
+    # 32 ulps of the summands, scaled first (2^-47) so that it stays finite
+    s = 2.0**-47
+    return s * x * x + s * y * y + s * z * z + abs(s * x * y * z)
 
 
 @dataclass(frozen=True)

@@ -227,3 +227,17 @@ def test_out_of_range_traces_exit_two():
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: x^2+y^2+z^2-xyz overflows"), argv
         assert err.count("\n") == 1, argv
+
+
+def test_orthogeodesic_kinds_evaluate_near_the_cusp():
+    # at m ~ 20 both e^{-k/2} and tanh^2(m/2) round to about 1; this point
+    # used to be refused mid-spectrum by the seam guard
+    fn = "2.05930102635146,1.1891365866499908,1.540703870360779e-08"
+    defects = {}
+    for kind in ("thm11", "thm31", "four"):
+        code, out, err = invoke(["verify", "--identity", kind, "--fn", fn, "--cutoff", "25"])
+        assert (code, err) == (0, ""), kind
+        defects[kind] = json.loads(out)["defect"]
+    assert abs(defects["thm11"] - 1.0993e-8) <= 1e-12
+    for kind in ("thm31", "four"):
+        assert abs(defects[kind] - defects["thm11"]) <= 1e-12

@@ -1,13 +1,14 @@
 import itertools
 import random
 import re
-from math import acosh, cosh, exp, pi, tanh
+from math import acosh, cosh, exp, expm1, log, pi, tanh, ulp
 
 import pytest
 
 from hypident import (
     DomainError,
     FenchelNielsen,
+    GeodesicRecord,
     IdentityKind,
     ResourceLimitError,
     compensated_sum,
@@ -16,6 +17,7 @@ from hypident import (
     foursphere_ortho,
     from_fenchel_nielsen,
     from_traces,
+    identities,
     identity_term,
     iter_terms,
     lasso,
@@ -113,6 +115,78 @@ def test_ortho_torus_matches_one_holed():
             assert abs(term_ortho_torus(k, ortho.m, ortho.q) - term_one_holed(k, b)) <= 1e-9
 
 
+def test_ortho_complement_arguments_are_the_one_holed_arguments():
+    # with x = e^{-k/2}, y = tanh^2(m/2) and d = 1 - xy, the orthogeodesic
+    # bracket is L(tanh^2(q/2)) + 2 L((1-x)/d) - 2 L((1-y)/d): its second
+    # and third arguments are those of term_one_holed, formed from 1 - x and
+    # 1 - y = sech^2(m/2).  sech^2(m/2) has condition number m tanh(m/2)
+    # in m, so a rounded seam m costs up to ~m/2 ulps of it (m ~ 20 near
+    # the cusp)
+    for k in (1e-8, 0.01, 0.2, 1.0, 2.0, 4.0, 8.0):
+        for b in (0.05, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0):
+            m = torus_ortho(k, b).m
+            cx, cy = -expm1(-0.5 * k), 1.0 / cosh(0.5 * m) ** 2
+            d = cx + exp(-0.5 * k) * cy
+            second = (1.0 + exp(-0.5 * k - b)) / (1.0 + exp(-0.5 * k))
+            third = -expm1(-b) / (1.0 + exp(-0.5 * k))
+            assert abs(cx / d - second) <= (4.0 + m) * ulp(second)
+            assert abs(cy / d - third) <= (4.0 + m) * ulp(third)
+
+
+def test_ortho_brackets_match_one_holed_on_log_uniform_points():
+    # near the cusp and for long b, e^{-k/2} and tanh^2(m/2) both round to
+    # about 1; the complements keep these points evaluable and accurate
+    rng = random.Random(31)
+    worst = 0.0
+    for _ in range(50_000):
+        k = exp(rng.uniform(log(1e-9), log(10.0)))
+        b = exp(rng.uniform(log(0.01), log(33.0)))
+        record = GeodesicRecord(None, 2.0 * cosh(0.5 * b), b)
+        reference = identity_term(IdentityKind.THM11, k, record)
+        for kind in (IdentityKind.THM31, IdentityKind.FOUR):
+            worst = max(worst, abs(identity_term(kind, k, record) - reference))
+    assert worst <= 1e-14
+
+
+def test_ortho_bracket_spends_three_dilogarithms(monkeypatch):
+    # the lasso's L(y) cancels the bracket's 2 L(y): three Rogers calls
+    calls = {"rogers": 0, "lasso": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(identities, "rogers", counted("rogers", rogers))
+    monkeypatch.setattr(identities, "lasso", counted("lasso", lasso))
+    record = GeodesicRecord(None, 2.0 * cosh(1.0), 2.0)
+    for kind in (IdentityKind.THM31, IdentityKind.FOUR):
+        identity_term(kind, 1.5, record)
+        assert calls == {"rogers": 3, "lasso": 0}
+        calls.update(rogers=0)
+    quasi_pants_term(1.5, 2.0)  # the bracket, L(sech^2(p/2)) and La(e^{-b}, y)
+    assert calls == {"rogers": 4, "lasso": 1}
+
+
+def test_ortho_kinds_evaluate_long_spectra():
+    # from cutoff ~38 on the short seam q (p for the four-holed sphere) used
+    # to round to 0, and every thm31 and four evaluation was refused.  Past
+    # b ~ 37 the seam m no longer changes with b and sech^2(m/2) meets
+    # 1 - e^{-k/2} to within rounding, so the seam guard needs its slack, and
+    # each term keeps a fixed bias of up to a few 1e-16: over the ~2,600
+    # records below cutoff 100 the sums drift from thm11 by up to ~1.4e-12.
+    # At k = 1.5 sech^2(m/2) rounds onto 1 - e^{-k/2} and the drift is small
+    for k in (0.5, 1.0, 1.5, 3.0):
+        triple = from_fenchel_nielsen(FenchelNielsen(1.2, 0.4, k))
+        for cutoff in (45.0, 100.0):
+            reference = evaluate(IdentityKind.THM11, triple, cutoff).partial_sum
+            for kind in (IdentityKind.THM31, IdentityKind.FOUR):
+                gap = abs(evaluate(kind, triple, cutoff).partial_sum - reference)
+                assert gap <= (1e-13 if k == 1.5 else 3e-12)
+
+
 def test_ortho_torus_guard():
     message = "guard e^(-k/2) < tanh^2(m/2) violated (k=0.01, m=0.1)"
     with pytest.raises(DomainError, match=re.escape(message)):
@@ -120,10 +194,12 @@ def test_ortho_torus_guard():
 
 
 def test_ortho_torus_lasso_boundary_limit():
-    # huge seam: tanh^2(m/2) -> 1 and the lasso term vanishes
+    # huge seam: tanh^2(m/2) -> 1 and the lasso term vanishes; past
+    # m ~ 710, cosh(m/2)^2 is beyond the float range
     k, q = 2.0, 1.3
-    value = term_ortho_torus(k, 500.0, q)
-    assert abs(value - (rogers(tanh(0.5 * q) ** 2) + 2.0 * PI2_6)) <= 1e-12
+    for m in (500.0, 800.0):
+        value = term_ortho_torus(k, m, q)
+        assert abs(value - (rogers(tanh(0.5 * q) ** 2) + 2.0 * PI2_6)) <= 1e-12
 
 
 def test_ortho_torus_short_seam_kills_first_term():
@@ -150,9 +226,11 @@ def test_foursphere_ortho_guard():
 
 
 def test_foursphere_bracket_equality_is_not_argumentwise():
-    # recorded outcome of the reformulation check: the brackets agree and
-    # their FIRST dilogarithm arguments agree exactly, but the second and
-    # third arguments differ individually; only their combination matches.
+    # the printed orthogeodesic bracket L(tanh^2(p/2)) + 2 L(y) - 2 La(x, y),
+    # y = tanh^2(m/2), shares its FIRST argument with the simple form, but
+    # its second, y, differs from the simple form's second argument; the
+    # arguments agree only once the lasso's own L(y) cancels the 2 L(y)
+    # (see test_ortho_complement_arguments_are_the_one_holed_arguments)
     c, a = 0.9, 2.6
     ortho = foursphere_ortho(c, a)
     first_ortho = tanh(0.5 * ortho.p) ** 2

@@ -1,6 +1,7 @@
 import itertools
 from math import asinh, cosh, exp, sinh, tanh
 
+import mpmath
 import pytest
 
 from hypident import (
@@ -115,6 +116,22 @@ def test_torus_guard_threshold():
         floor = guard_threshold(0.25 * k)
         for b in (0.05, 0.5, 1.0, 5.0, 20.0):
             assert torus_ortho(k, b).m > floor
+
+
+def test_short_orthogeodesics_of_long_geodesics_keep_relative_accuracy():
+    # q (torus) and p (four-holed sphere) shrink like e^{-b/2}; an acosh of
+    # a ratio near 1 read 0 from b ~ 38 on and failed on a ratio rounded
+    # below 1 in b ~ 37.9-39
+    mpmath.mp.dps = 40
+    for k in (1e-6, 0.5, 1.5, 4.0):
+        for b in (20.0, 37.9, 38.5, 39.0, 45.0, 100.0, 300.0):
+            ck, cb = mpmath.cosh(mpmath.mpf(k) / 2), mpmath.cosh(mpmath.mpf(b))
+            exact = (ck + 1) / (ck + cb)  # tanh^2 of half the short length
+            q = torus_ortho(k, b).q
+            p = foursphere_ortho(0.5 * k, 2.0 * b).p
+            for short in (q, p):
+                assert short > 0.0
+                assert abs(tanh(0.5 * short) ** 2 / exact - 1) <= 1e-14
 
 
 def test_covering_correspondence():

@@ -75,6 +75,17 @@ def test_kappa_beyond_float_range_is_refused():
     assert trace_triple(1e154, 2.5, 6.8e153).kappa == -2.3759999999999993e307
 
 
+def test_positive_kappa_near_the_float_range_is_not_snapped_to_the_cusp():
+    # x^2+y^2+z^2+|xyz| overflows here while kappa (+1.9e307, +3.7e307) is
+    # finite; the rounding allowance must stay finite and refuse the triple
+    for traces in (
+        (1e154, 9e76, 9e76),
+        (2.358828686727197e154, 8.738233403792575e131, 2.519488935835061e22),
+    ):
+        with pytest.raises(NonHyperbolicError, match="> 0: no hyperbolic"):
+            trace_triple(*traces)
+
+
 def test_from_traces_examples():
     assert from_traces(3.0, 3.0, 2.0 * acosh(2.0)).z == pytest.approx(4.0, abs=1e-12)
     assert from_traces(3.0, 3.0, 0.0).z == pytest.approx(3.0, abs=1e-14)
