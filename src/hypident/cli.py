@@ -29,6 +29,9 @@ from .torus import FenchelNielsen, from_fenchel_nielsen, trace_triple
 
 __all__ = ["run", "main"]
 
+# a sweep grid is built as a list before any point is evaluated
+_MAX_SWEEP_POINTS = 10**6
+
 
 class _UsageError(Exception):
     pass
@@ -170,8 +173,12 @@ def _parse_sweep_range(text):
     if step <= 0.0 or stop < start:
         raise _UsageError(f"--vary range must have step > 0 and stop >= start, got {text!r}")
     # nudge against float rounding so nominal endpoints stay included
-    count = math.floor((stop - start) / step + 1e-9) + 1
-    return name, [start + i * step for i in range(count)]
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_SWEEP_POINTS:  # also refuses an infinite span
+        raise _UsageError(
+            f"--vary range must have at most {_MAX_SWEEP_POINTS} points, got {text!r}"
+        )
+    return name, [start + i * step for i in range(math.floor(span) + 1)]
 
 
 def _cmd_sweep(args, out):

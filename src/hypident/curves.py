@@ -36,9 +36,9 @@ parents), multiplies the explicit Fenchel-Nielsen matrices, and reports
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
 from math import cosh, gcd
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import DomainError, ResourceLimitError
 from .torus import (
@@ -64,33 +64,43 @@ __all__ = [
 
 DEFAULT_MAX_RECORDS = 10_000_000
 
+# the trace cutoff 2cosh(L/2) is finite up to L ~ 1419.57 and overflows beyond
+_MAX_CUTOFF = 1419.0
 
-@dataclass(frozen=True)
-class Slope:
+
+class Slope(NamedTuple("Slope", [("p", int), ("q", int)])):
     """Primitive slope p/q in canonical form: q >= 1, or (1, 0) for infinity.
 
     Slopes compare in rational order, with 1/0 last.
     """
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q < 0 or (self.q == 0 and self.p != 1):
-            raise DomainError(f"slope ({self.p}, {self.q}) is not in canonical form")
-        if gcd(abs(self.p), self.q) != 1:
-            raise DomainError(f"slope ({self.p}, {self.q}) is not primitive")
+    def __new__(cls, p: int, q: int):
+        if q < 0 or (q == 0 and p != 1):
+            raise DomainError(f"slope ({p}, {q}) is not in canonical form")
+        if gcd(abs(p), q) != 1:
+            raise DomainError(f"slope ({p}, {q}) is not primitive")
+        return super().__new__(cls, p, q)
 
+    # rational, not tuple, order: q >= 0 on both sides, so cross-multiplying keeps it
     def __lt__(self, other):
-        # q >= 0 on both sides, so cross-multiplying keeps the order
         return self.p * other.q < other.p * self.q
+
+    def __gt__(self, other):
+        return self.p * other.q > other.p * self.q
+
+    def __le__(self, other):
+        return self.p * other.q <= other.p * self.q
+
+    def __ge__(self, other):
+        return self.p * other.q >= other.p * self.q
 
     def __str__(self):
         return f"{self.p}/{self.q}"
 
 
-@dataclass(frozen=True)
-class GeodesicRecord:
+class GeodesicRecord(NamedTuple):
     """One simple closed geodesic: slope, trace, and hyperbolic length."""
 
     slope: Slope
@@ -125,7 +135,7 @@ def reduce_to_minimal(triple: TraceTriple) -> TraceTriple:
             coords[i] = candidate
         else:
             # the reduced marking describes the same surface: keep its k
-            return replace(trace_triple(*coords), k=triple.k)
+            return trace_triple(*coords)._replace(k=triple.k)
 
 
 def enumerate_geodesics(
@@ -151,9 +161,15 @@ def enumerate_geodesics(
     within the cutoff, and each child is pruned before it is queued (see
     the module docstring).  A NaN trace is kept and ends in
     `NonHyperbolicError`, or in `ResourceLimitError` past `max_records`.
+    A cutoff outside (0, 1419] is refused with `DomainError`.
     """
     if not (math.isfinite(length_cutoff) and length_cutoff > 0.0):
         raise DomainError(f"length cutoff must be positive, got {length_cutoff!r}")
+    if length_cutoff > _MAX_CUTOFF:
+        raise DomainError(
+            f"length cutoff must be <= {_MAX_CUTOFF} for a finite trace cutoff,"
+            f" got {length_cutoff!r}"
+        )
     root = reduce_to_minimal(triple) if reduce else triple
     x0, y0, z0 = root.x, root.y, root.z
     trace_cutoff = 2.0 * cosh(0.5 * length_cutoff)
@@ -165,7 +181,8 @@ def enumerate_geodesics(
         v = (a[0] + b[0], a[1] + b[1])
         # `not t > cutoff` keeps a NaN trace for the record pass to refuse
         if not t > trace_cutoff:
-            slope = Slope(*v)
+            # the walk forms only canonical, primitive vectors: skip the check
+            slope = Slope._make(v)
             assert slope not in emitted, f"slope {slope} enumerated twice"
             emitted[slope] = t
         # checked on every pop, so the two root emits count too

@@ -53,8 +53,7 @@ order, so the result is deterministic and order-dependence stays below
 import enum
 import math
 from math import cosh, exp, expm1, pi, sqrt, tanh
-
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .curves import DEFAULT_MAX_RECORDS, GeodesicRecord, enumerate_geodesics
 from .dilog import lasso, rogers
@@ -113,8 +112,7 @@ _FOUR_KINDS = frozenset(
 )
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of one truncated identity evaluation."""
 
     kind: IdentityKind
@@ -127,7 +125,7 @@ class IdentityReport:
     tail_estimate: float
 
     def to_dict(self):
-        return {**asdict(self), "kind": self.kind.value}
+        return {**self._asdict(), "parameters": dict(self.parameters), "kind": self.kind.value}
 
 
 class RunningSum:

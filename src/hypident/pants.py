@@ -48,8 +48,6 @@ import math
 from math import acosh, asinh, cosh, sinh, sqrt
 from typing import NamedTuple
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 
 __all__ = [
@@ -70,8 +68,7 @@ def _check_length(name, value):
         raise DomainError(f"{name} must be a positive length >= {MIN_LENGTH}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class PantsGeometry:
+class PantsGeometry(NamedTuple):
     """Boundary lengths of a pants with all six simple orthogeodesic lengths.
 
     m_i joins the two boundaries other than i; d_i runs from boundary i back

@@ -37,8 +37,7 @@ certificate.
 
 import math
 from math import acosh, cosh, exp, sinh, sqrt
-
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import DomainError, NoRealStructureError, NonHyperbolicError
 
@@ -82,14 +81,13 @@ def _kappa_slop(x, y, z):
     return s * x * x + s * y * y + s * z * z + abs(s * x * y * z)
 
 
-@dataclass(frozen=True)
-class TraceTriple:
+class TraceTriple(NamedTuple):
     """Point (x, y, z) of the relative character variety, boundary length k.
 
     Constructors that solved for a requested k (`from_traces`,
     `from_fenchel_nielsen`, `curves.reduce_to_minimal`) store it exactly,
-    through `dataclasses.replace`, instead of recovering it from kappa,
-    which is ill-conditioned near the cusp.
+    through `_replace`, instead of recovering it from kappa, which is
+    ill-conditioned near the cusp.
     """
 
     x: float
@@ -99,21 +97,19 @@ class TraceTriple:
     k: float
 
 
-@dataclass(frozen=True)
-class FenchelNielsen:
+class FenchelNielsen(NamedTuple("FenchelNielsen", [("b", float), ("t", float), ("k", float)])):
     """Length, twist and boundary length (b, t, k) of a marked torus."""
 
-    b: float
-    t: float
-    k: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.b) and self.b > 0.0):
-            raise DomainError(f"geodesic length b must be positive, got {self.b!r}")
-        if not math.isfinite(self.t):
-            raise DomainError(f"twist t must be finite, got {self.t!r}")
-        if not (math.isfinite(self.k) and self.k >= 0.0):
-            raise DomainError(f"boundary length k must be >= 0, got {self.k!r}")
+    def __new__(cls, b: float, t: float, k: float):
+        if not (math.isfinite(b) and b > 0.0):
+            raise DomainError(f"geodesic length b must be positive, got {b!r}")
+        if not math.isfinite(t):
+            raise DomainError(f"twist t must be finite, got {t!r}")
+        if not (math.isfinite(k) and k >= 0.0):
+            raise DomainError(f"boundary length k must be >= 0, got {k!r}")
+        return super().__new__(cls, b, t, k)
 
 
 def trace_triple(x: float, y: float, z: float) -> TraceTriple:
@@ -158,7 +154,7 @@ def from_traces(x: float, y: float, k: float) -> TraceTriple:
     z = 2.0 * rest / (x * y + sqrt(disc))  # stable form of (xy - sqrt(disc))/2
     if z <= 2.0:
         raise NonHyperbolicError(f"third trace {z!r} <= 2: not a hyperbolic structure")
-    return replace(trace_triple(x, y, z), k=k)
+    return trace_triple(x, y, z)._replace(k=k)
 
 
 def _crossing_scale(b, k):
@@ -172,7 +168,7 @@ def from_fenchel_nielsen(fn: FenchelNielsen) -> TraceTriple:
     x = 2.0 * cosh(0.5 * fn.b)
     y = 2.0 * p * cosh(0.5 * fn.t)
     z = 2.0 * p * cosh(0.5 * (fn.t + fn.b))
-    return replace(trace_triple(x, y, z), k=fn.k)
+    return trace_triple(x, y, z)._replace(k=fn.k)
 
 
 def fenchel_nielsen_matrices(fn: FenchelNielsen):

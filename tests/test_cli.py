@@ -3,8 +3,11 @@ import json
 import subprocess
 import sys
 from math import pi
+from pathlib import Path
 
 from hypident.cli import run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def invoke(argv):
@@ -193,6 +196,14 @@ def test_domain_errors_exit_two():
     # non-hyperbolic traces
     code, _, err = invoke(["spectrum", "--traces", "1,2,3", "--cutoff", "5"])
     assert code == 2
+    # 2cosh(L/2) overflows at L = 1500 and is inf at L = 1420.5, which prunes nothing
+    for cutoff in ("1500", "1420.5"):
+        code, out, err = invoke(["spectrum", "--traces", "3,3,3", "--cutoff", cutoff])
+        assert (code, out) == (2, ""), cutoff
+        assert err == (
+            "error: length cutoff must be <= 1419.0 for a finite trace cutoff,"
+            f" got {float(cutoff)!r}\n"
+        )
 
 
 def test_module_entry_point():
@@ -208,13 +219,36 @@ def test_module_entry_point():
 
 def test_sweep_range_must_be_finite():
     # start, stop and step each NaN or infinite; step=inf is no longer a one-row sweep
-    for vary in ("k=nan:1:0.1", "k=0.5:inf:1", "k=0.5:1:nan", "k=0.5:1:inf", "k=-inf:1:0.1"):
+    finite = "--vary range must be finite"
+    # grids of ~inf and ~5e299 points are refused before the list is built
+    too_many = "--vary range must have at most 1000000 points"
+    for vary, message in (
+        ("k=nan:1:0.1", finite),
+        ("k=0.5:inf:1", finite),
+        ("k=0.5:1:nan", finite),
+        ("k=0.5:1:inf", finite),
+        ("k=-inf:1:0.1", finite),
+        ("k=0:1e308:1e-308", too_many),
+        ("k=0.5:1:1e-300", too_many),
+    ):
         code, out, err = invoke(
             ["sweep", "--identity", "thm11", "--vary", vary, "--fn", "1.2,0.3,_",
              "--cutoff", "5"]
         )
         assert (code, out) == (2, ""), vary
-        assert err == f"error: --vary range must be finite, got {vary!r}\n"
+        assert err == f"error: {message}, got {vary!r}\n"
+
+
+def test_import_skips_dataclasses():
+    # records are named tuples: importing the CLI loads neither module
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import hypident.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
 def test_out_of_range_traces_exit_two():

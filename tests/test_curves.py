@@ -80,6 +80,9 @@ def test_slope_completeness_matches_totients():
     # every primitive class with max(|p|, q) <= N appears once the cutoff
     # passes the longest such geodesic
     records = enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 30.0)
+    # the walk skips the slope checks; every slope it emits must pass them
+    for r in records:
+        assert type(r.slope) is Slope and r.slope == Slope(r.slope.p, r.slope.q)
     got = {(r.slope.p, r.slope.q) for r in records}
     for n in (3, 5):
         want = {(1, 0)}
@@ -146,8 +149,10 @@ def test_enumerate_keeps_nan_children():
 
 
 def test_enumerate_rejects_bad_cutoff():
-    with pytest.raises(DomainError):
-        enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 0.0)
+    # 2cosh(L/2) overflows at 1500 and is inf at 1420.5, which prunes nothing
+    for cutoff in (0.0, 1500.0, 1420.5):
+        with pytest.raises(DomainError):
+            enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), cutoff)
 
 
 def test_slope_canonical_and_order():
@@ -173,8 +178,9 @@ def test_slope_order_matches_fractions():
             slopes.append(Slope(p, q))
     for u in slopes:
         assert not Slope(1, 0) < u
-        for v in rng.sample(slopes, 30) + [Slope(1, 0)]:
-            assert (u < v) == (_rational_key(u) < _rational_key(v))
+        for v in rng.sample(slopes, 30) + [Slope(1, 0), u]:
+            ku, kv = _rational_key(u), _rational_key(v)
+            assert (u < v, u > v, u <= v, u >= v) == (ku < kv, ku > kv, ku <= kv, ku >= kv)
 
 
 @pytest.mark.parametrize(

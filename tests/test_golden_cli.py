@@ -1,0 +1,184 @@
+"""Golden CLI output: exit code and sha256 of stdout and of stderr.
+
+Each command below runs through `hypident.cli.run` and must reproduce, byte
+for byte, the output recorded in GOLDEN.  The hashes cover every printed
+float, so they depend on the platform libm (exp, cosh, log, ...): a
+different libm may change last digits and every hash with them.  Where the
+output is meant to change, regenerate the table with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+
+and review the diff of the commands whose hashes moved.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from hypident.cli import run
+
+_CUSPED = ("--traces", "3,3,3")
+_HOLED = ("--fn", "1.2,0.4,1.5")
+_KINDS = (
+    ("thm11", _HOLED),
+    ("thm12", _CUSPED),
+    ("thm15", _CUSPED),
+    ("thm31", _HOLED),
+    ("four", _HOLED),
+    ("four-simple", _HOLED),
+    ("four-cusped", _CUSPED),
+    ("mcshane", _CUSPED),
+)
+
+# verify and terms for every kind; each alternates json and csv from kind to kind
+COMMANDS = [
+    (command, "--identity", kind, *point, "--cutoff", "8", "--format", fmt)
+    for i, (kind, point) in enumerate(_KINDS)
+    for command, fmt in (("verify", ("json", "csv")[i % 2]), ("terms", ("csv", "json")[i % 2]))
+] + [
+    ("spectrum", *_CUSPED, "--cutoff", "8", "--format", "json"),
+    ("spectrum", *_HOLED, "--cutoff", "8", "--format", "csv"),
+    ("sweep", "--identity", "thm11", "--vary", "k=0.5:1.5:0.25", "--fn", "1.2,0.3,_",
+     "--cutoff", "8"),
+    ("selftest", "--seed", "0"),
+    ("verify", "--identity", "thm12", "--traces", "3,3", "--cutoff", "5"),
+    ("sweep", "--identity", "thm11", "--vary", "q=1:2:1", "--fn", "1,_,1", "--cutoff", "5"),
+]
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = run(list(argv), out=out, err=err)
+    return code, _sha(out.getvalue()), _sha(err.getvalue())
+
+
+GOLDEN = {
+    "verify --identity thm11 --fn 1.2,0.4,1.5 --cutoff 8 --format json": (
+        1,
+        "e3e7a73d8463749dda228385612d331c13444ebdf1532c34cfe760e5a4f956d2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "terms --identity thm11 --fn 1.2,0.4,1.5 --cutoff 8 --format csv": (
+        0,
+        "a88af75c16533a7ab5fa773a597803c9e80d0acc8398e30a5052f9b03565e4c1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify --identity thm12 --traces 3,3,3 --cutoff 8 --format csv": (
+        1,
+        "2df0fe587699f23e6bead5dfe4fb0b5d2f8152325f76cfc9c1bc9d5701d9c8af",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "terms --identity thm12 --traces 3,3,3 --cutoff 8 --format json": (
+        0,
+        "e40d351aed3e9d54651022b39592d22af56347c73dd5254bf9cc43d0f721dfd1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify --identity thm15 --traces 3,3,3 --cutoff 8 --format json": (
+        1,
+        "4a0d083d35a72afa77c86227fc212811964979d93d38c20c2d693ac61d34ea02",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "terms --identity thm15 --traces 3,3,3 --cutoff 8 --format csv": (
+        0,
+        "f442c54589f4e703cdbf00ff6ef301bcf505461ffee655be0c5013f0896198bf",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify --identity thm31 --fn 1.2,0.4,1.5 --cutoff 8 --format csv": (
+        1,
+        "8f4eb1135e695ffb7fbde461a488992745bdf261deb08c4bed49904b749564dd",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "terms --identity thm31 --fn 1.2,0.4,1.5 --cutoff 8 --format json": (
+        0,
+        "0e948a27e2cf1f4bae1cd77652774f8edeb0de0b7907b5a75a655ed1b1cb5a53",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify --identity four --fn 1.2,0.4,1.5 --cutoff 8 --format json": (
+        1,
+        "d455d4a32c04ca66b3bc1646672ce4db108703f80a4cedc2310e8bc5b6e689c1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "terms --identity four --fn 1.2,0.4,1.5 --cutoff 8 --format csv": (
+        0,
+        "93a48b539c4d5da735a225ad8bfc5247800c59fc2f6082266db60a70014f378f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify --identity four-simple --fn 1.2,0.4,1.5 --cutoff 8 --format csv": (
+        1,
+        "b94b8883f1c2179d32d40c32de9137e8ceac375ac01be80887e38262e2f74c3f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "terms --identity four-simple --fn 1.2,0.4,1.5 --cutoff 8 --format json": (
+        0,
+        "da60e86033f47f4650024481e69b460aa1df6390bc53026b2ac7b0b6bed5e69f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify --identity four-cusped --traces 3,3,3 --cutoff 8 --format json": (
+        1,
+        "d19316241a686170f9f68660645e9c87140aa49cdb768cb2837e16ba9c2a56a1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "terms --identity four-cusped --traces 3,3,3 --cutoff 8 --format csv": (
+        0,
+        "f442c54589f4e703cdbf00ff6ef301bcf505461ffee655be0c5013f0896198bf",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify --identity mcshane --traces 3,3,3 --cutoff 8 --format csv": (
+        1,
+        "5a2dde61e831c6553c875e35b03afb4a5f6b7b7ab51c228689feeff1317e6e9b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "terms --identity mcshane --traces 3,3,3 --cutoff 8 --format json": (
+        0,
+        "36a7c94568c5e7b5dbe0521dadcf6aef95fa76ee6566b1e6c204370a345fdb2c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "spectrum --traces 3,3,3 --cutoff 8 --format json": (
+        0,
+        "d168e631ea37ce05060747a9088fa90fbbc7a36d52800e0e58955e36ed18b63a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "spectrum --fn 1.2,0.4,1.5 --cutoff 8 --format csv": (
+        0,
+        "20f06205dff8dbb24b2a42d2fa651ff8478a0c6a63beb98de750d4b951a93277",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "sweep --identity thm11 --vary k=0.5:1.5:0.25 --fn 1.2,0.3,_ --cutoff 8": (
+        0,
+        "41edcffff2be953b4ce62b4cc1066ded4914f0079179af6b5ca6eb49a6dc993e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "selftest --seed 0": (
+        0,
+        "ed2cdc0309042f7773ee59e40d8ada40fbcfb60d7016dcdfef51499f601179c6",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify --identity thm12 --traces 3,3 --cutoff 5": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ef869003d36420eac08c67901f005c97c6cbf5d38bd5955343e628ff136ac7f6",
+    ),
+    "sweep --identity thm11 --vary q=1:2:1 --fn 1,_,1 --cutoff 5": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "39a8251f54367d36c5de389ddac4181046dd26eb610c1e532763278158bcb5e7",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_cli_output_matches_golden(argv):
+    assert _outcome(argv) == GOLDEN[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    entry = '    "{}": (\n        {},\n        "{}",\n        "{}",\n    ),'
+    print("GOLDEN = {")
+    for argv in COMMANDS:
+        print(entry.format(" ".join(argv), *_outcome(argv)))
+    print("}")
