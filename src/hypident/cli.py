@@ -118,6 +118,9 @@ def _build_parser():
 
 
 def _cmd_verify(args, out):
+    # `abs(defect) <= tol` never holds for a NaN or negative tol
+    if not args.tol >= 0.0:
+        raise _UsageError(f"--tol must be >= 0, got {args.tol!r}")
     kind = IdentityKind(args.identity)
     triple = _point_from_args(args)
     report = evaluate(kind, triple, args.cutoff)

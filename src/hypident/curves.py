@@ -12,19 +12,25 @@ same tree through the Markov move
 which preserves kappa = x^2 + y^2 + z^2 - xyz, because replacing z by
 xy - z exchanges tr(AB) and tr(AB^{-1}).
 
-`enumerate_geodesics` walks this tree breadth-first from the minimal
-triangle.  A queue entry (a, b, ta, tb, t) is a triangle that keeps slope
-vectors a and b, with traces ta and tb, and adds their mediant v = a + b,
-with trace t.  Popping it emits v and queues the children
-(a, v, ta, t, ta t - tb) and (v, b, t, tb, t tb - ta).  After the roots
-0/1 and 1/0, the root edge is crossed both ways, by ((0,1), (1,0), x, y, z)
-and ((0,1), (-1,0), x, y, xy - z); every vector formed has q >= 1, and
-every primitive class appears exactly once.  A child is pruned before it
-is queued when its trace exceeds the cutoff and is >= both retained
-traces; the monotone growth of traces away from the minimal triangle
-justifies this, and the pruning-soundness tests enforce it.  A NaN trace
-(inf - inf on a huge unreduced root) fails that test, so its child is
-kept and ends in a typed refusal instead of silently losing a subtree.
+`enumerate_geodesics` walks this tree from the minimal triangle.  A queue
+entry (a, b, ta, tb, t) is a triangle that keeps slope vectors a and b,
+with traces ta and tb, and adds their mediant v = a + b, with trace t.
+Its children are (a, v, ta, t, ta t - tb), which keeps a, and
+(v, b, t, tb, t tb - ta), which keeps b.  Repeating the second is a Dehn
+twist about b: the slopes a + n b, with traces y_{n+1} = tb y_n - y_{n-1}
+(Bowditch's recurrence).  After each pop the walk follows that twist run
+inline, emitting every mediant on it, and queues only the children that
+keep a.  Every node is visited once, with the float expressions of a
+breadth-first walk, so only the order of emission depends on the walk;
+the sorted records do not.  After the roots 0/1 and 1/0, the root edge
+is crossed both ways, by ((0,1), (1,0), x, y, z) and
+((0,1), (-1,0), x, y, xy - z); every vector formed has q >= 1, and every
+primitive class appears exactly once.  A child is pruned when its trace
+exceeds the cutoff and is >= both retained traces; the monotone growth
+of traces away from the minimal triangle justifies this, and the
+pruning-soundness tests enforce it.  A NaN trace (inf - inf on a huge
+unreduced root) fails that test, so its child is kept and ends in a
+typed refusal instead of silently losing a subtree.
 
 Slope arithmetic is exact (Python integers); traces are binary64.
 
@@ -36,7 +42,8 @@ parents), multiplies the explicit Fenchel-Nielsen matrices, and reports
 
 import math
 from collections import deque
-from math import cosh, gcd
+from functools import partial
+from math import acosh, cosh, gcd
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -108,6 +115,11 @@ class GeodesicRecord(NamedTuple):
     length: float
 
 
+# records and slopes from a tuple, without the Python-level __new__ (and its check)
+_make_record = partial(tuple.__new__, GeodesicRecord)
+_make_slope = partial(tuple.__new__, Slope)
+
+
 def markov_child(x: float, y: float, z: float, position: int):
     """Replace the coordinate at 1-based `position` by the Markov move."""
     if position == 1:
@@ -138,6 +150,12 @@ def reduce_to_minimal(triple: TraceTriple) -> TraceTriple:
             return trace_triple(*coords)._replace(k=triple.k)
 
 
+def _record_limit(max_records, length_cutoff):
+    return ResourceLimitError(
+        f"enumeration exceeded {max_records} records below cutoff {length_cutoff}"
+    )
+
+
 def enumerate_geodesics(
     triple: TraceTriple,
     length_cutoff: float,
@@ -158,8 +176,12 @@ def enumerate_geodesics(
     multiplicity is automatic.
 
     Each popped entry (a, b, ta, tb, t) emits its mediant a + b when t is
-    within the cutoff, and each child is pruned before it is queued (see
-    the module docstring).  A NaN trace is kept and ends in
+    within the cutoff, then follows its twist run (the children that keep
+    b) inline, and queues the children that keep a; each child is pruned
+    before it is followed or queued (see the module docstring).  Emission
+    is therefore not breadth-first, but every node is visited once with
+    the same float expressions, so the sorted records are those of a
+    breadth-first walk, bit for bit.  A NaN trace is kept and ends in
     `NonHyperbolicError`, or in `ResourceLimitError` past `max_records`.
     A cutoff outside (0, 1419] is refused with `DomainError`.
     """
@@ -175,32 +197,37 @@ def enumerate_geodesics(
     trace_cutoff = 2.0 * cosh(0.5 * length_cutoff)
 
     emitted = {Slope(p, q): t for p, q, t in ((0, 1, x0), (1, 0, y0)) if not t > trace_cutoff}
+    if len(emitted) > max_records:
+        raise _record_limit(max_records, length_cutoff)
     queue = deque((((0, 1), (1, 0), x0, y0, z0), ((0, 1), (-1, 0), x0, y0, x0 * y0 - z0)))
     while queue:
         a, b, ta, tb, t = queue.popleft()
-        v = (a[0] + b[0], a[1] + b[1])
-        # `not t > cutoff` keeps a NaN trace for the record pass to refuse
-        if not t > trace_cutoff:
+        # follow the twist run that keeps b inline; queue the children that keep a
+        while True:
             # the walk forms only canonical, primitive vectors: skip the check
-            slope = Slope._make(v)
-            assert slope not in emitted, f"slope {slope} enumerated twice"
-            emitted[slope] = t
-        # checked on every pop, so the two root emits count too
-        if len(emitted) > max_records:
-            raise ResourceLimitError(
-                f"enumeration exceeded {max_records} records below cutoff {length_cutoff}"
-            )
-        for child in ((a, v, ta, t, ta * t - tb), (v, b, t, tb, t * tb - ta)):
-            _, _, ca, cb, c = child
-            # a NaN compares false here, so its subtree is kept, not lost
-            if c > trace_cutoff and c >= ca and c >= cb:
-                continue
-            queue.append(child)
+            v = _make_slope((a[0] + b[0], a[1] + b[1]))
+            # `not t > cutoff` keeps a NaN trace for the record pass to refuse
+            if not t > trace_cutoff:
+                assert v not in emitted, f"slope {v} enumerated twice"
+                emitted[v] = t
+                if len(emitted) > max_records:
+                    raise _record_limit(max_records, length_cutoff)
+            # a NaN compares false in both prune tests, so its subtree is kept, not lost
+            c = ta * t - tb
+            if not (c > trace_cutoff and c >= ta and c >= t):
+                queue.append((a, v, ta, t, c))
+            c = t * tb - ta
+            if c > trace_cutoff and c >= t and c >= tb:
+                break
+            a, ta, t = v, t, c
 
-    records = [
-        GeodesicRecord(slope, trace, length_from_trace(trace))
-        for slope, trace in emitted.items()
-    ]
+    traces = list(emitted.values())
+    # emitted traces are never +inf, so `2 < t` fails exactly where
+    # `length_from_trace` refuses: let it raise its own message
+    if not all(map((2.0).__lt__, traces)):
+        length_from_trace(next(t for t in traces if not 2.0 < t))
+    lengths = [2.0 * acosh(0.5 * t) for t in traces]  # as in `length_from_trace`
+    records = list(map(_make_record, zip(emitted, traces, lengths)))
     records.sort(key=attrgetter("length", "slope"))
     return records
 

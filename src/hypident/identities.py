@@ -329,28 +329,36 @@ def check_point_kind(kind: IdentityKind, k: float) -> None:
         raise DomainError(f"identity {kind.value} needs boundary length k > 0, got k={k!r}")
 
 
+def _thm31_term(k, record):
+    ortho = torus_ortho(k, record.length)
+    return term_ortho_torus(k, ortho.m, ortho.q)
+
+
+def _four_term(k, record):
+    ortho = foursphere_ortho(0.5 * k, 2.0 * record.length)
+    return term_ortho_torus(k, ortho.m, ortho.p)
+
+
+# kind -> kernel(k, record); every name inside is read at call time
+_KERNELS = {
+    IdentityKind.THM11: lambda k, record: term_one_holed(k, record.length),
+    IdentityKind.THM12: lambda k, record: term_cusped(record.length),
+    IdentityKind.THM15: lambda k, record: term_trace_squared(record.trace * record.trace),
+    IdentityKind.THM31: _thm31_term,
+    IdentityKind.FOUR: _four_term,
+    IdentityKind.FOUR_SIMPLE: lambda k, record: term_one_holed(k, record.length),
+    IdentityKind.FOUR_CUSPED: lambda k, record: term_cusped(record.length),
+    IdentityKind.MCSHANE: lambda k, record: term_mcshane(record.length),
+}
+
+
 def identity_term(kind: IdentityKind, k: float, record: GeodesicRecord) -> float:
     """Contribution of one geodesic record to the identity `kind`."""
-    b = record.length
-    if kind is IdentityKind.THM11:
-        return term_one_holed(k, b)
-    if kind is IdentityKind.THM12:
-        return term_cusped(b)
-    if kind is IdentityKind.THM15:
-        return term_trace_squared(record.trace * record.trace)
-    if kind is IdentityKind.THM31:
-        ortho = torus_ortho(k, b)
-        return term_ortho_torus(k, ortho.m, ortho.q)
-    if kind is IdentityKind.FOUR:
-        ortho = foursphere_ortho(0.5 * k, 2.0 * b)
-        return term_ortho_torus(k, ortho.m, ortho.p)
-    if kind is IdentityKind.FOUR_SIMPLE:
-        return term_one_holed(k, b)
-    if kind is IdentityKind.FOUR_CUSPED:
-        return term_cusped(b)
-    if kind is IdentityKind.MCSHANE:
-        return term_mcshane(b)
-    raise DomainError(f"unknown identity kind {kind!r}")
+    try:
+        kernel = _KERNELS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise DomainError(f"unknown identity kind {kind!r}") from None
+    return kernel(k, record)
 
 
 def tail_estimate(k: float, cutoff: float) -> float:

@@ -239,6 +239,22 @@ def test_sweep_range_must_be_finite():
         assert err == f"error: {message}, got {vary!r}\n"
 
 
+def test_verify_refuses_nan_or_negative_tol():
+    # `abs(defect) <= tol` is false for every defect: refused before evaluating
+    for tol in ("nan", "-nan", "-1e-4", "-inf"):
+        code, out, err = invoke(
+            ["verify", "--identity", "thm12", "--traces", "3,3,3", "--cutoff", "5",
+             f"--tol={tol}"]
+        )
+        assert (code, out) == (2, ""), tol
+        assert err == f"error: --tol must be >= 0, got {float(tol)!r}\n", tol
+    code, _, err = invoke(
+        ["verify", "--identity", "thm12", "--traces", "3,3,3", "--cutoff", "45",
+         "--tol", "0"]
+    )
+    assert (code, err) == (1, "")  # a zero tolerance is valid, if strict
+
+
 def test_import_skips_dataclasses():
     # records are named tuples: importing the CLI loads neither module
     code = (

@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
-from math import acosh, gcd
+from math import acosh, cosh, gcd, sinh, sqrt
 
 import pytest
 
 from hypident import (
     DomainError,
     FenchelNielsen,
+    NonHyperbolicError,
     ResourceLimitError,
     Slope,
+    TraceTriple,
     brute_force_trace,
     enumerate_geodesics,
     from_fenchel_nielsen,
@@ -139,6 +141,44 @@ def test_enumerate_resource_cap():
         enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 25.0, max_records=10)
 
 
+def test_resource_cap_counts_twist_run_emissions():
+    # on a thin point nearly every record is emitted inside a twist run, so
+    # the cap must be checked there, not only once per queue entry
+    triple = from_fenchel_nielsen(FenchelNielsen(8.0, 0.0, 0.0))
+    count = len(enumerate_geodesics(triple, 20.0))
+    assert count > 400
+    assert len(enumerate_geodesics(triple, 20.0, max_records=count)) == count
+    with pytest.raises(ResourceLimitError):
+        enumerate_geodesics(triple, 20.0, max_records=count - 1)
+
+
+def test_resource_cap_counts_root_emissions():
+    # the roots 0/1 and 1/0 are the only records here: the walk emits none
+    triple = trace_triple(3.0, 3.0, 4.5)
+    assert len(enumerate_geodesics(triple, 2.0 * acosh(2.0), max_records=2)) == 2
+    with pytest.raises(ResourceLimitError):
+        enumerate_geodesics(triple, 2.0 * acosh(2.0), max_records=1)
+
+
+@pytest.mark.parametrize(
+    "b, t, k, cutoff",
+    [(0.02, 0.0, 1.0, 25.0), (0.05, 0.013, 0.0, 25.0), (1.2, 0.4, 1.5, 30.0)],
+)
+def test_twist_family_matches_closed_form(b, t, k, cutoff):
+    # in the Fenchel-Nielsen marking, the curve crossing A once and twisted
+    # q times about it has slope (+-1, q) and trace 2 s cosh((t +- q b)/2),
+    # the closed form of the recurrence y_{n+1} = x y_n - y_{n-1}
+    s = sqrt((cosh(b) + cosh(0.5 * k)) / (2.0 * sinh(0.5 * b) ** 2))
+    records = enumerate_geodesics(
+        from_fenchel_nielsen(FenchelNielsen(b, t, k)), cutoff, reduce=False
+    )
+    family = [r for r in records if abs(r.slope.p) == 1]
+    assert len(family) >= 40
+    for r in family:
+        closed = 2.0 * s * cosh(0.5 * (t + r.slope.p * r.slope.q * b))
+        assert abs(r.trace - closed) <= 1e-10 * closed, r.slope
+
+
 def test_enumerate_keeps_nan_children():
     # below this huge unreduced root the traces overflow and inf - inf gives
     # NaN; the prune test lets NaN through, so the walk keeps those subtrees
@@ -146,6 +186,14 @@ def test_enumerate_keeps_nan_children():
     triple = trace_triple(13685.580536680813, 274139491.392735, 3751758067708.733)
     with pytest.raises(ResourceLimitError):
         enumerate_geodesics(triple, 14.0, reduce=False, max_records=20_000)
+
+
+def test_record_pass_refuses_a_bad_trace():
+    # an unvalidated root whose walk ends with the trace 2 of slope 1/0 as
+    # its only record: the refusal is the one of `length_from_trace`
+    root = TraceTriple(10.0, 2.0, 10.0, 4.0, 0.0)
+    with pytest.raises(NonHyperbolicError, match="hyperbolic element, got 2.0$"):
+        enumerate_geodesics(root, 4.0, reduce=False)
 
 
 def test_enumerate_rejects_bad_cutoff():

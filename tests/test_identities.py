@@ -148,6 +148,32 @@ def test_ortho_brackets_match_one_holed_on_log_uniform_points():
     assert worst <= 1e-14
 
 
+def test_identity_term_dispatches_to_each_kernel():
+    k, b = 1.5, 2.0
+    record = GeodesicRecord(None, 2.0 * cosh(0.5 * b), b)
+    ortho, four = torus_ortho(k, b), foursphere_ortho(0.5 * k, 2.0 * b)
+    direct = {
+        IdentityKind.THM11: term_one_holed(k, b),
+        IdentityKind.THM12: term_cusped(b),
+        IdentityKind.THM15: term_trace_squared(record.trace * record.trace),
+        IdentityKind.THM31: term_ortho_torus(k, ortho.m, ortho.q),
+        IdentityKind.FOUR: term_foursphere_ortho(0.5 * k, four.m, four.p),
+        IdentityKind.FOUR_SIMPLE: term_foursphere_simple(0.5 * k, 2.0 * b),
+        IdentityKind.FOUR_CUSPED: term_foursphere_cusped(2.0 * b),
+        IdentityKind.MCSHANE: term_mcshane(b),
+    }
+    assert set(direct) == set(IdentityKind)
+    for kind, term in direct.items():
+        assert identity_term(kind, k, record) == term, kind
+
+
+def test_identity_term_refuses_unknown_kind():
+    record = GeodesicRecord(None, 2.0 * cosh(1.0), 2.0)
+    for kind in ("thm11", None, ["thm11"]):
+        with pytest.raises(DomainError, match="unknown identity kind"):
+            identity_term(kind, 1.5, record)
+
+
 def test_ortho_bracket_spends_three_dilogarithms(monkeypatch):
     # the lasso's L(y) cancels the bracket's 2 L(y): three Rogers calls
     calls = {"rogers": 0, "lasso": 0}
