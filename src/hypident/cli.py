@@ -228,7 +228,12 @@ def _cmd_sweep(args, out):
         "tail_estimate",
     ]
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+        # opened after the grid is evaluated: a refused point leaves the file as it was
+        try:
+            handle = open(args.out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise _UsageError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
+        with handle:
             _emit(handle, "csv", header, rows)
     else:
         _emit(out, "csv", header, rows)

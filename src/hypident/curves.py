@@ -40,6 +40,7 @@ parents), multiplies the explicit Fenchel-Nielsen matrices, and reports
 |trace|.  It shares no code with the Markov recursion.
 """
 
+import gc
 import math
 from collections import deque
 from functools import partial
@@ -184,6 +185,12 @@ def enumerate_geodesics(
     breadth-first walk, bit for bit.  A NaN trace is kept and ends in
     `NonHyperbolicError`, or in `ResourceLimitError` past `max_records`.
     A cutoff outside (0, 1419] is refused with `DomainError`.
+
+    The cyclic garbage collector is paused from the walk through the sort,
+    sparing full collections over the live tuples of a large spectrum; the
+    build forms no reference cycles, so the pause delays no reclamation,
+    and the caller's collector state is restored on return and on every
+    raise.
     """
     if not (math.isfinite(length_cutoff) and length_cutoff > 0.0):
         raise DomainError(f"length cutoff must be positive, got {length_cutoff!r}")
@@ -196,40 +203,46 @@ def enumerate_geodesics(
     x0, y0, z0 = root.x, root.y, root.z
     trace_cutoff = 2.0 * cosh(0.5 * length_cutoff)
 
-    emitted = {Slope(p, q): t for p, q, t in ((0, 1, x0), (1, 0, y0)) if not t > trace_cutoff}
-    if len(emitted) > max_records:
-        raise _record_limit(max_records, length_cutoff)
-    queue = deque((((0, 1), (1, 0), x0, y0, z0), ((0, 1), (-1, 0), x0, y0, x0 * y0 - z0)))
-    while queue:
-        a, b, ta, tb, t = queue.popleft()
-        # follow the twist run that keeps b inline; queue the children that keep a
-        while True:
-            # the walk forms only canonical, primitive vectors: skip the check
-            v = _make_slope((a[0] + b[0], a[1] + b[1]))
-            # `not t > cutoff` keeps a NaN trace for the record pass to refuse
-            if not t > trace_cutoff:
-                assert v not in emitted, f"slope {v} enumerated twice"
-                emitted[v] = t
-                if len(emitted) > max_records:
-                    raise _record_limit(max_records, length_cutoff)
-            # a NaN compares false in both prune tests, so its subtree is kept, not lost
-            c = ta * t - tb
-            if not (c > trace_cutoff and c >= ta and c >= t):
-                queue.append((a, v, ta, t, c))
-            c = t * tb - ta
-            if c > trace_cutoff and c >= t and c >= tb:
-                break
-            a, ta, t = v, t, c
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        emitted = {Slope(p, q): t for p, q, t in ((0, 1, x0), (1, 0, y0)) if not t > trace_cutoff}
+        if len(emitted) > max_records:
+            raise _record_limit(max_records, length_cutoff)
+        queue = deque((((0, 1), (1, 0), x0, y0, z0), ((0, 1), (-1, 0), x0, y0, x0 * y0 - z0)))
+        while queue:
+            a, b, ta, tb, t = queue.popleft()
+            # follow the twist run that keeps b inline; queue the children that keep a
+            while True:
+                # the walk forms only canonical, primitive vectors: skip the check
+                v = _make_slope((a[0] + b[0], a[1] + b[1]))
+                # `not t > cutoff` keeps a NaN trace for the record pass to refuse
+                if not t > trace_cutoff:
+                    assert v not in emitted, f"slope {v} enumerated twice"
+                    emitted[v] = t
+                    if len(emitted) > max_records:
+                        raise _record_limit(max_records, length_cutoff)
+                # a NaN compares false in both prune tests, so its subtree is kept, not lost
+                c = ta * t - tb
+                if not (c > trace_cutoff and c >= ta and c >= t):
+                    queue.append((a, v, ta, t, c))
+                c = t * tb - ta
+                if c > trace_cutoff and c >= t and c >= tb:
+                    break
+                a, ta, t = v, t, c
 
-    traces = list(emitted.values())
-    # emitted traces are never +inf, so `2 < t` fails exactly where
-    # `length_from_trace` refuses: let it raise its own message
-    if not all(map((2.0).__lt__, traces)):
-        length_from_trace(next(t for t in traces if not 2.0 < t))
-    lengths = [2.0 * acosh(0.5 * t) for t in traces]  # as in `length_from_trace`
-    records = list(map(_make_record, zip(emitted, traces, lengths)))
-    records.sort(key=attrgetter("length", "slope"))
-    return records
+        traces = list(emitted.values())
+        # emitted traces are never +inf, so `2 < t` fails exactly where
+        # `length_from_trace` refuses: let it raise its own message
+        if not all(map((2.0).__lt__, traces)):
+            length_from_trace(next(t for t in traces if not 2.0 < t))
+        lengths = [2.0 * acosh(0.5 * t) for t in traces]  # as in `length_from_trace`
+        records = list(map(_make_record, zip(emitted, traces, lengths)))
+        records.sort(key=attrgetter("length", "slope"))
+        return records
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 _ORACLE_SCALE = 50

@@ -164,10 +164,16 @@ def _crossing_scale(b, k):
 
 def from_fenchel_nielsen(fn: FenchelNielsen) -> TraceTriple:
     """Trace triple of the marked structure (b, t, k)."""
-    p = _crossing_scale(fn.b, fn.k)
-    x = 2.0 * cosh(0.5 * fn.b)
-    y = 2.0 * p * cosh(0.5 * fn.t)
-    z = 2.0 * p * cosh(0.5 * (fn.t + fn.b))
+    try:
+        p = _crossing_scale(fn.b, fn.k)
+        x = 2.0 * cosh(0.5 * fn.b)
+        y = 2.0 * p * cosh(0.5 * fn.t)
+        z = 2.0 * p * cosh(0.5 * (fn.t + fn.b))
+    except OverflowError:
+        raise DomainError(
+            f"cosh overflows at b={fn.b!r}, t={fn.t!r}, k={fn.k!r}:"
+            " traces beyond the float range"
+        ) from None
     return trace_triple(x, y, z)._replace(k=fn.k)
 
 

@@ -139,6 +139,29 @@ def test_sweep_to_file(tmp_path):
     assert lines[0].startswith("param_name")
 
 
+def test_sweep_to_an_unwritable_path_is_a_usage_error(tmp_path):
+    for target in (tmp_path / "missing" / "sweep.csv", tmp_path):
+        code, out, err = invoke(
+            ["sweep", "--identity", "mcshane", "--vary", "b=0.8:1.2:0.2", "--fn", "_,0,0",
+             "--cutoff", "12", "--out", str(target)]
+        )
+        assert (code, out) == (2, ""), target
+        assert err.startswith("error: cannot write --out"), target
+        assert err.count("\n") == 1, target
+
+
+def test_sweep_refusal_leaves_an_existing_out_file_untouched(tmp_path):
+    target = tmp_path / "sweep.csv"
+    target.write_text("old\n")
+    code, out, err = invoke(
+        ["sweep", "--identity", "mcshane", "--vary", "b=1:711:710", "--fn", "_,0,0",
+         "--cutoff", "12", "--out", str(target)]
+    )
+    assert (code, out) == (2, "")
+    assert "beyond the float range" in err
+    assert target.read_text() == "old\n"
+
+
 def test_sweep_slot_mismatch():
     code, _, err = invoke(
         ["sweep", "--identity", "thm11", "--vary", "k=1:2:1", "--fn", "_,0.3,1.0",
@@ -268,14 +291,18 @@ def test_import_skips_dataclasses():
 
 
 def test_out_of_range_traces_exit_two():
-    # kappa beyond the float range: typed refusal, not a traceback or a NaN surface
-    for argv in (
-        ["spectrum", "--traces", "1e200,1e200,1e200", "--cutoff", "14"],
-        ["verify", "--identity", "thm12", "--traces", "3,3,1e155", "--cutoff", "5"],
+    # kappa or a trace beyond the float range: typed refusal, not a traceback or a NaN surface
+    for argv, diagnostic in (
+        (["spectrum", "--traces", "1e200,1e200,1e200", "--cutoff", "14"],
+         "error: x^2+y^2+z^2-xyz overflows"),
+        (["verify", "--identity", "thm12", "--traces", "3,3,1e155", "--cutoff", "5"],
+         "error: x^2+y^2+z^2-xyz overflows"),
+        (["verify", "--identity", "thm12", "--fn", "711,0,0", "--cutoff", "5"],
+         "error: cosh overflows"),
     ):
         code, out, err = invoke(argv)
         assert (code, out) == (2, ""), argv
-        assert err.startswith("error: x^2+y^2+z^2-xyz overflows"), argv
+        assert err.startswith(diagnostic), argv
         assert err.count("\n") == 1, argv
 
 

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from math import acosh, cosh, gcd, sinh, sqrt
@@ -14,10 +15,12 @@ from hypident import (
     brute_force_trace,
     enumerate_geodesics,
     from_fenchel_nielsen,
+    length_from_trace,
     markov_child,
     reduce_to_minimal,
     trace_triple,
 )
+from hypident import curves
 
 
 def test_markov_child_examples():
@@ -194,6 +197,38 @@ def test_record_pass_refuses_a_bad_trace():
     root = TraceTriple(10.0, 2.0, 10.0, 4.0, 0.0)
     with pytest.raises(NonHyperbolicError, match="hyperbolic element, got 2.0$"):
         enumerate_geodesics(root, 4.0, reduce=False)
+
+
+def test_collector_is_paused_through_the_record_pass(monkeypatch):
+    # the record pass runs inside the pause, and a raise from it restores the collector
+    seen = []
+
+    def spy(tr):
+        seen.append(gc.isenabled())
+        return length_from_trace(tr)
+
+    monkeypatch.setattr(curves, "length_from_trace", spy)
+    assert gc.isenabled()
+    with pytest.raises(NonHyperbolicError):
+        enumerate_geodesics(TraceTriple(10.0, 2.0, 10.0, 4.0, 0.0), 4.0, reduce=False)
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_collector_is_restored_after_the_record_cap():
+    assert gc.isenabled()
+    with pytest.raises(ResourceLimitError):
+        enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 25.0, max_records=5)
+    assert gc.isenabled()
+
+
+def test_collector_disabled_by_the_caller_stays_disabled():
+    gc.disable()
+    try:
+        assert len(enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 10.0)) > 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_enumerate_rejects_bad_cutoff():

@@ -75,6 +75,18 @@ def test_kappa_beyond_float_range_is_refused():
     assert trace_triple(1e154, 2.5, 6.8e153).kappa == -2.3759999999999993e307
 
 
+def test_fenchel_nielsen_beyond_float_range_is_refused():
+    # cosh overflows in the crossing scale (b, k) or in the y and z traces (t + b)
+    for fn in (
+        FenchelNielsen(711.0, 0.0, 0.0),
+        FenchelNielsen(1.0, 1500.0, 0.0),
+        FenchelNielsen(700.0, 800.0, 0.0),
+        FenchelNielsen(1.0, 0.0, 1500.0),
+    ):
+        with pytest.raises(DomainError, match="beyond the float range"):
+            from_fenchel_nielsen(fn)
+
+
 def test_positive_kappa_near_the_float_range_is_not_snapped_to_the_cusp():
     # x^2+y^2+z^2+|xyz| overflows here while kappa (+1.9e307, +3.7e307) is
     # finite; the rounding allowance must stay finite and refuse the triple
