@@ -10,7 +10,6 @@ usage or domain errors with a one-line diagnostic on stderr.
 import argparse
 import json
 import math
-import random
 import sys
 
 from .curves import brute_force_trace, enumerate_geodesics
@@ -241,6 +240,7 @@ def _cmd_sweep(args, out):
 
 
 def _selftest_checks(seed):
+    import random  # only selftest draws random points
     rng = random.Random(seed)
 
     def dilog_values():

@@ -104,14 +104,6 @@ class IdentityKind(enum.Enum):
     MCSHANE = "mcshane"
 
 
-_CUSPED_KINDS = frozenset(
-    {IdentityKind.THM12, IdentityKind.THM15, IdentityKind.FOUR_CUSPED, IdentityKind.MCSHANE}
-)
-_FOUR_KINDS = frozenset(
-    {IdentityKind.FOUR, IdentityKind.FOUR_SIMPLE, IdentityKind.FOUR_CUSPED}
-)
-
-
 class IdentityReport(NamedTuple):
     """Outcome of one truncated identity evaluation."""
 
@@ -310,23 +302,13 @@ def torus_contribution_partial(k: float, records) -> float:
     value as the sum of `quasi_pants_term` over the full spectrum.
     """
     _check_positive("k", k)
-    add = RunningSum().add
-    total = 0.0
-    for record in records:
-        b = record.length
+
+    def term(b):
         m, p, _ = torus_ortho(k, b)
         y = _lasso_guard(b, m)
-        total = add(8.0 * (2.0 * lasso(exp(-b), y) + rogers(1.0 / cosh(0.5 * p) ** 2)))
-    return 4.0 * pi * pi - total
+        return 8.0 * (2.0 * lasso(exp(-b), y) + rogers(1.0 / cosh(0.5 * p) ** 2))
 
-
-def check_point_kind(kind: IdentityKind, k: float) -> None:
-    """Reject point/identity mismatches (cusped kinds need k = 0)."""
-    if kind in _CUSPED_KINDS:
-        if k != 0.0:
-            raise DomainError(f"identity {kind.value} needs a cusped point, got k={k!r}")
-    elif k <= 0.0:
-        raise DomainError(f"identity {kind.value} needs boundary length k > 0, got k={k!r}")
+    return 4.0 * pi * pi - compensated_sum(term(record.length) for record in records)
 
 
 def _thm31_term(k, record):
@@ -339,23 +321,39 @@ def _four_term(k, record):
     return term_ortho_torus(k, ortho.m, ortho.p)
 
 
-# kind -> kernel(k, record); every name inside is read at call time
-_KERNELS = {
-    IdentityKind.THM11: lambda k, record: term_one_holed(k, record.length),
-    IdentityKind.THM12: lambda k, record: term_cusped(record.length),
-    IdentityKind.THM15: lambda k, record: term_trace_squared(record.trace * record.trace),
-    IdentityKind.THM31: _thm31_term,
-    IdentityKind.FOUR: _four_term,
-    IdentityKind.FOUR_SIMPLE: lambda k, record: term_one_holed(k, record.length),
-    IdentityKind.FOUR_CUSPED: lambda k, record: term_cusped(record.length),
-    IdentityKind.MCSHANE: lambda k, record: term_mcshane(record.length),
+# kind -> (kernel, cusped, target, reports_c).  kernel(k, record) is the
+# record's term, every name inside it read at call time; a cusped kind needs
+# k = 0, the others a boundary k > 0; target is the value of the full sum;
+# reports_c adds the four-holed-sphere boundary c = k/2 to the parameters
+_IDENTITIES = {
+    IdentityKind.THM11: (lambda k, r: term_one_holed(k, r.length), False, PI2_2, False),
+    IdentityKind.THM12: (lambda k, r: term_cusped(r.length), True, PI2_2, False),
+    IdentityKind.THM15: (lambda k, r: term_trace_squared(r.trace * r.trace), True, PI2_2, False),
+    IdentityKind.THM31: (_thm31_term, False, PI2_2, False),
+    IdentityKind.FOUR: (_four_term, False, PI2_2, True),
+    IdentityKind.FOUR_SIMPLE: (lambda k, r: term_one_holed(k, r.length), False, PI2_2, True),
+    IdentityKind.FOUR_CUSPED: (lambda k, r: term_cusped(r.length), True, PI2_2, True),
+    IdentityKind.MCSHANE: (lambda k, r: term_mcshane(r.length), True, 0.5, False),
 }
+
+
+def check_point_kind(kind: IdentityKind, k: float) -> None:
+    """Reject an unknown kind and point/identity mismatches (cusped kinds need k = 0)."""
+    try:
+        cusped = _IDENTITIES[kind][1]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise DomainError(f"unknown identity kind {kind!r}") from None
+    if cusped:
+        if k != 0.0:
+            raise DomainError(f"identity {kind.value} needs a cusped point, got k={k!r}")
+    elif k <= 0.0:
+        raise DomainError(f"identity {kind.value} needs boundary length k > 0, got k={k!r}")
 
 
 def identity_term(kind: IdentityKind, k: float, record: GeodesicRecord) -> float:
     """Contribution of one geodesic record to the identity `kind`."""
     try:
-        kernel = _KERNELS[kind]
+        kernel = _IDENTITIES[kind][0]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise DomainError(f"unknown identity kind {kind!r}") from None
     return kernel(k, record)
@@ -380,8 +378,9 @@ def iter_terms(
     """Yield (record, term, partial) over the spectrum of `triple`.
 
     Records come in ascending length order; `partial` is the compensated
-    sum of the terms yielded so far.  The point is checked against `kind`
-    and the spectrum enumerated before the first yield.
+    sum of the terms yielded so far.  The kind, and the point against it,
+    are checked before the spectrum is enumerated, which happens before the
+    first yield.
     """
     k = triple.k
     check_point_kind(kind, k)
@@ -409,17 +408,10 @@ def evaluate(
         iter_terms(kind, triple, cutoff, max_records=max_records), 1
     ):
         pass
-    k = triple.k
-    target = 0.5 if kind is IdentityKind.MCSHANE else PI2_2
-    parameters = {
-        "x": triple.x,
-        "y": triple.y,
-        "z": triple.z,
-        "kappa": triple.kappa,
-        "k": k,
-    }
-    if kind in _FOUR_KINDS:
-        parameters["c"] = 0.5 * k
+    _, _, target, reports_c = _IDENTITIES[kind]  # a known kind: iter_terms checked it
+    parameters = triple._asdict()
+    if reports_c:
+        parameters["c"] = 0.5 * triple.k
     return IdentityReport(
         kind=kind,
         parameters=parameters,
@@ -428,5 +420,5 @@ def evaluate(
         partial_sum=partial,
         target=target,
         defect=target - partial,
-        tail_estimate=tail_estimate(k, cutoff),
+        tail_estimate=tail_estimate(triple.k, cutoff),
     )

@@ -169,6 +169,8 @@ def from_fenchel_nielsen(fn: FenchelNielsen) -> TraceTriple:
         x = 2.0 * cosh(0.5 * fn.b)
         y = 2.0 * p * cosh(0.5 * fn.t)
         z = 2.0 * p * cosh(0.5 * (fn.t + fn.b))
+        if math.isinf(max(y, z)):  # a product overflows without OverflowError
+            raise OverflowError
     except OverflowError:
         raise DomainError(
             f"cosh overflows at b={fn.b!r}, t={fn.t!r}, k={fn.k!r}:"

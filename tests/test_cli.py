@@ -279,10 +279,11 @@ def test_verify_refuses_nan_or_negative_tol():
 
 
 def test_import_skips_dataclasses():
-    # records are named tuples: importing the CLI loads neither module
+    # records are named tuples and only selftest imports random: importing
+    # the CLI loads none of these modules
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import hypident.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'random'} & set(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
@@ -298,6 +299,8 @@ def test_out_of_range_traces_exit_two():
         (["verify", "--identity", "thm12", "--traces", "3,3,1e155", "--cutoff", "5"],
          "error: x^2+y^2+z^2-xyz overflows"),
         (["verify", "--identity", "thm12", "--fn", "711,0,0", "--cutoff", "5"],
+         "error: cosh overflows"),
+        (["verify", "--identity", "thm12", "--fn", "1,1419.5,0", "--cutoff", "5"],
          "error: cosh overflows"),
     ):
         code, out, err = invoke(argv)

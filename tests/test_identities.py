@@ -405,14 +405,24 @@ def test_evaluate_marking_invariance():
     assert abs(a.partial_sum - b.partial_sum) <= 1e-10
 
 
+HOLED = from_fenchel_nielsen(FenchelNielsen(1.2, 0.4, 1.5))
+CUSPED_KINDS = (IdentityKind.THM12, IdentityKind.THM15, IdentityKind.FOUR_CUSPED,
+                IdentityKind.MCSHANE)
+
+
+def _point_for(kind):
+    return MODULAR if kind in CUSPED_KINDS else HOLED
+
+
 def test_evaluate_kind_point_mismatch():
-    with pytest.raises(DomainError):
-        evaluate(IdentityKind.THM11, MODULAR, 10.0)  # needs k > 0
-    holed = from_traces(3.0, 3.0, 1.0)
-    for kind in (IdentityKind.THM12, IdentityKind.THM15, IdentityKind.MCSHANE,
-                 IdentityKind.FOUR_CUSPED):
-        with pytest.raises(DomainError):
-            evaluate(kind, holed, 10.0)
+    # every cusped kind at a holed point, every other kind at the cusp
+    for kind in IdentityKind:
+        if kind in CUSPED_KINDS:
+            point, message = from_traces(3.0, 3.0, 1.0), "needs a cusped point"
+        else:
+            point, message = MODULAR, "needs boundary length k > 0"
+        with pytest.raises(DomainError, match=message):
+            evaluate(kind, point, 10.0)
 
 
 def test_evaluate_report_bookkeeping():
@@ -429,9 +439,30 @@ def test_evaluate_report_bookkeeping():
 
 
 def test_evaluate_four_report_carries_c():
-    fn_triple = from_fenchel_nielsen(FenchelNielsen(1.2, 0.0, 1.0))
-    report = evaluate(IdentityKind.FOUR, fn_triple, 12.0)
-    assert abs(report.parameters["c"] - 0.5 * fn_triple.k) <= 1e-15
+    # every report names the point; only the four-holed-sphere kinds add c = k/2
+    four_kinds = (IdentityKind.FOUR, IdentityKind.FOUR_SIMPLE, IdentityKind.FOUR_CUSPED)
+    for kind in IdentityKind:
+        triple = _point_for(kind)
+        parameters = evaluate(kind, triple, 12.0).parameters
+        four = kind in four_kinds
+        assert list(parameters) == ["x", "y", "z", "kappa", "k"] + ["c"] * four, kind
+        assert parameters["k"] == triple.k
+        if four:
+            assert parameters["c"] == 0.5 * triple.k
+
+
+def test_unknown_kind_is_refused_before_enumeration(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the spectrum was enumerated")
+
+    monkeypatch.setattr(identities, "enumerate_geodesics", unreachable)
+    # the cusp, a holed point, and a cutoff below its shortest geodesic
+    for triple, cutoff in ((MODULAR, 25.0), (HOLED, 25.0), (HOLED, 0.1)):
+        for kind in ("thm11", None, ["thm11"]):
+            with pytest.raises(DomainError, match="unknown identity kind"):
+                next(iter_terms(kind, triple, cutoff))
+            with pytest.raises(DomainError, match="unknown identity kind"):
+                evaluate(kind, triple, cutoff)
 
 
 def test_compensated_sum_rescues_cancellation():
@@ -448,15 +479,6 @@ def test_sum_order_independence_below_tolerance():
         shuffled = terms[:]
         rng.shuffle(shuffled)
         assert abs(compensated_sum(shuffled) - sorted_sum) <= 1e-14
-
-
-HOLED = from_fenchel_nielsen(FenchelNielsen(1.2, 0.4, 1.5))
-CUSPED_KINDS = (IdentityKind.THM12, IdentityKind.THM15, IdentityKind.FOUR_CUSPED,
-                IdentityKind.MCSHANE)
-
-
-def _point_for(kind):
-    return MODULAR if kind in CUSPED_KINDS else HOLED
 
 
 @pytest.mark.parametrize("kind", list(IdentityKind), ids=lambda kind: kind.value)

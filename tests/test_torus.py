@@ -76,12 +76,16 @@ def test_kappa_beyond_float_range_is_refused():
 
 
 def test_fenchel_nielsen_beyond_float_range_is_refused():
-    # cosh overflows in the crossing scale (b, k) or in the y and z traces (t + b)
+    # cosh overflows in the crossing scale (b, k) or in the y and z traces (t + b);
+    # or cosh(t/2) is finite and the product 2p cosh(t/2) overflows to inf
     for fn in (
         FenchelNielsen(711.0, 0.0, 0.0),
         FenchelNielsen(1.0, 1500.0, 0.0),
         FenchelNielsen(700.0, 800.0, 0.0),
         FenchelNielsen(1.0, 0.0, 1500.0),
+        FenchelNielsen(1.0, 1419.5, 0.0),
+        FenchelNielsen(1.0, 1419.0, 0.0),
+        FenchelNielsen(0.001, 1418.0, 0.0),
     ):
         with pytest.raises(DomainError, match="beyond the float range"):
             from_fenchel_nielsen(fn)
