@@ -238,6 +238,7 @@ def enumerate_geodesics(
             length_from_trace(next(t for t in traces if not 2.0 < t))
         lengths = [2.0 * acosh(0.5 * t) for t in traces]  # as in `length_from_trace`
         records = list(map(_make_record, zip(emitted, traces, lengths)))
+        del emitted, traces, lengths  # the records hold every slope and float
         records.sort(key=attrgetter("length", "slope"))
         return records
     finally:

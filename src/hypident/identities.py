@@ -15,6 +15,13 @@ classical horocycle identity).  The term functions:
     trace-squared form, s = tr^2 > 4 (equivalent to the cusped form):
         L(4/s) + 2 L(s/(s+sqrt(s^2-4s))) - 2 L(sqrt(s^2-4s)/(s+sqrt(s^2-4s)))
 
+    The last two dilogarithms of these two forms cancel near 1/2: for
+    e^{-b} <= e^{-1} (b >= 1) they are summed as 2 D(e^{-b}), the odd series
+    `dilog.rogers_odd_series`, which is accurate relative to its size, and
+    the bracket takes one `rogers` call instead of three.  The trace form
+    reads e^{-b} as 4/(tr^2 (1+u)^2), u = sqrt(1 - 4/tr^2) = tanh(b/2),
+    which equals (1-u)/(1+u) but forms no 1 - u.
+
     orthogeodesic form of the one-holed torus (seams m, q of the cut pants),
     x = e^{-k/2}, y = tanh^2(m/2); the lasso's own L(y) cancels the 2 L(y):
         L(tanh^2(q/2)) + 2 L(y) - 2 La(x, y)
@@ -56,7 +63,7 @@ from math import cosh, exp, expm1, pi, sqrt, tanh
 from typing import NamedTuple
 
 from .curves import DEFAULT_MAX_RECORDS, GeodesicRecord, enumerate_geodesics
-from .dilog import lasso, rogers
+from .dilog import ODD_SERIES_MAX, lasso, rogers, rogers_odd_series
 from .errors import DomainError
 from .pants import foursphere_ortho, pants_geometry, torus_ortho
 from .torus import TraceTriple
@@ -165,13 +172,12 @@ def term_one_holed(k: float, b: float) -> float:
         return 0.0
     # (cosh(k/2)+1)/(cosh(k/2)+cosh b), scaled by e^{-m} against overflow
     m = max(0.5 * k, b)
-    num = exp(0.5 * k - m) + 2.0 * exp(-m) + exp(-0.5 * k - m)
-    den = exp(0.5 * k - m) + exp(-0.5 * k - m) + exp(b - m) + exp(-b - m)
-    first = num / den
+    up, down = exp(0.5 * k - m), exp(-0.5 * k - m)
+    # rounds above 1 at some b < 1e-6, where the ratio rounds to 1
+    first = min((up + 2.0 * exp(-m) + down) / (up + down + exp(b - m) + exp(-b - m)), 1.0)
     # cosh(k/4 + b/2)/(cosh(k/4) e^{b/2}) = (1 + e^{-k/2 - b})/(1 + e^{-k/2})
-    second = (1.0 + exp(-0.5 * k - b)) / (1.0 + exp(-0.5 * k))
-    third = -expm1(-b) / (1.0 + exp(-0.5 * k))
-    return _bracket(first, second, third)
+    scale = 1.0 + exp(-0.5 * k)
+    return _bracket(first, (1.0 + exp(-0.5 * k - b)) / scale, -expm1(-b) / scale)
 
 
 def term_cusped(b: float) -> float:
@@ -179,8 +185,12 @@ def term_cusped(b: float) -> float:
     _check_positive("b", b)
     if b > _LIMIT_LENGTH:
         return 0.0
-    sech_half = 2.0 * exp(-0.5 * b) / (1.0 + exp(-b))
-    return _bracket(sech_half * sech_half, 0.5 * (1.0 + exp(-b)), 0.5 * -expm1(-b))
+    s = exp(-b)
+    if s > ODD_SERIES_MAX:
+        # rounds above 1 at some b < 1.5e-8, where sech(b/2) rounds to 1
+        sech_half = min(2.0 * exp(-0.5 * b) / (1.0 + s), 1.0)
+        return _bracket(sech_half * sech_half, 0.5 * (1.0 + s), 0.5 * -expm1(-b))
+    return rogers(4.0 * s / ((1.0 + s) * (1.0 + s))) + 2.0 * rogers_odd_series(s)
 
 
 def term_trace_squared(trace_squared: float) -> float:
@@ -188,7 +198,11 @@ def term_trace_squared(trace_squared: float) -> float:
     if not math.isfinite(trace_squared) or trace_squared <= 4.0:
         raise DomainError(f"trace squared must exceed 4, got {trace_squared!r}")
     u = sqrt((trace_squared - 4.0) / trace_squared)  # sqrt(s^2-4s)/s
-    return _bracket(4.0 / trace_squared, 1.0 / (1.0 + u), u / (1.0 + u))
+    first = 4.0 / trace_squared
+    e_b = first / ((1.0 + u) * (1.0 + u))  # e^{-b} = (1-u)/(1+u)
+    if e_b > ODD_SERIES_MAX:
+        return _bracket(first, 1.0 / (1.0 + u), u / (1.0 + u))
+    return rogers(first) + 2.0 * rogers_odd_series(e_b)
 
 
 def term_ortho_torus(k: float, m: float, q: float) -> float:
@@ -225,7 +239,10 @@ def term_foursphere_cusped(a: float) -> float:
 
 def term_mcshane(b: float) -> float:
     """Horocycle term 1/(1 + e^b); the cusped-torus sum is 1/2."""
-    return 1.0 / (1.0 + exp(b)) if b < _LIMIT_LENGTH else 0.0
+    if 0.0 < b < _LIMIT_LENGTH:
+        return 1.0 / (1.0 + exp(b))
+    _check_positive("b", b)
+    return 0.0
 
 
 def _pants_lasso_sum(lengths, seams):

@@ -12,13 +12,15 @@ import mpmath
 mpmath.mp.dps = 40
 
 
+def rogers_mp(z):
+    """Rogers dilogarithm in mpmath, at the working precision, for z != 0."""
+    z = mpmath.mpf(z)
+    return mpmath.polylog(2, z) + mpmath.mpf("0.5") * mpmath.log(abs(z)) * mpmath.log(1 - z)
+
+
 def rogers_oracle(z):
     """High-precision Rogers dilogarithm, returned as float."""
-    z = mpmath.mpf(z)
-    if z == 0:
-        return 0.0
-    val = mpmath.polylog(2, z) + mpmath.mpf("0.5") * mpmath.log(abs(z)) * mpmath.log(1 - z)
-    return float(val)
+    return 0.0 if z == 0 else float(rogers_mp(z))
 
 
 def li2_oracle(z):

@@ -44,6 +44,9 @@ COMMANDS = [
     ("selftest", "--seed", "0"),
     ("verify", "--identity", "thm12", "--traces", "3,3", "--cutoff", "5"),
     ("sweep", "--identity", "thm11", "--vary", "q=1:2:1", "--fn", "1,_,1", "--cutoff", "5"),
+    # long cutoffs, where terms are e^{-35}-small: every digit of the kernels shows
+    ("verify", "--identity", "thm11", *_HOLED, "--cutoff", "35"),
+    ("terms", "--identity", "thm31", *_HOLED, "--cutoff", "35", "--format", "csv"),
 ]
 
 
@@ -70,22 +73,22 @@ GOLDEN = {
     ),
     "verify --identity thm12 --traces 3,3,3 --cutoff 8 --format csv": (
         1,
-        "2df0fe587699f23e6bead5dfe4fb0b5d2f8152325f76cfc9c1bc9d5701d9c8af",
+        "2a1303cb93ab2b295f1ccbd5e040f818d02e008a0531ea5a2674a59354679513",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "terms --identity thm12 --traces 3,3,3 --cutoff 8 --format json": (
         0,
-        "e40d351aed3e9d54651022b39592d22af56347c73dd5254bf9cc43d0f721dfd1",
+        "a76d76dce6394a6f12ce01b54d69f6f8230067939f5b1e125c36dea1ae397c30",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "verify --identity thm15 --traces 3,3,3 --cutoff 8 --format json": (
         1,
-        "4a0d083d35a72afa77c86227fc212811964979d93d38c20c2d693ac61d34ea02",
+        "5abe4bba35e576fac70aec9cb5c2a104c1ee4b857aaaa5757532bb85d7a5ce9b",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "terms --identity thm15 --traces 3,3,3 --cutoff 8 --format csv": (
         0,
-        "f442c54589f4e703cdbf00ff6ef301bcf505461ffee655be0c5013f0896198bf",
+        "f646ac68511cf961292f8b6401bdf1b437924246ab0e7ca10633fa5f7485ec6c",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "verify --identity thm31 --fn 1.2,0.4,1.5 --cutoff 8 --format csv": (
@@ -120,12 +123,12 @@ GOLDEN = {
     ),
     "verify --identity four-cusped --traces 3,3,3 --cutoff 8 --format json": (
         1,
-        "d19316241a686170f9f68660645e9c87140aa49cdb768cb2837e16ba9c2a56a1",
+        "c52637152bca5a5a84a5305d33500d73cf86b23ca9e34232e7c0b1c568bd5e96",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "terms --identity four-cusped --traces 3,3,3 --cutoff 8 --format csv": (
         0,
-        "f442c54589f4e703cdbf00ff6ef301bcf505461ffee655be0c5013f0896198bf",
+        "dfcbd2a0455d01703b2358b9c4d45328056d79de27177c7a5269b762267ab2c1",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "verify --identity mcshane --traces 3,3,3 --cutoff 8 --format csv": (
@@ -167,6 +170,16 @@ GOLDEN = {
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "39a8251f54367d36c5de389ddac4181046dd26eb610c1e532763278158bcb5e7",
+    ),
+    "verify --identity thm11 --fn 1.2,0.4,1.5 --cutoff 35": (
+        0,
+        "336ec632d36abfd66255f9bcd234649e322fe4dfe9d37f821be34228bc4c4ce3",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "terms --identity thm31 --fn 1.2,0.4,1.5 --cutoff 35 --format csv": (
+        0,
+        "4b391d8b686d486509a213c8dc13cf67bc7d529aa1e87197a7493c484a57e5ef",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 }
 

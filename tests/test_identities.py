@@ -3,6 +3,7 @@ import random
 import re
 from math import acosh, cosh, exp, expm1, log, pi, tanh, ulp
 
+import mpmath
 import pytest
 
 from hypident import (
@@ -39,7 +40,7 @@ from hypident import (
     torus_ortho,
     trace_triple,
 )
-from helpers import rogers_oracle
+from helpers import rogers_mp, rogers_oracle
 
 PI2_2 = pi * pi / 2.0
 PI2_6 = pi * pi / 6.0
@@ -94,6 +95,50 @@ def test_trace_squared_matches_cusped():
     for trace in (3.0, 4.5, 7.0, 15.0, 100.0):
         b = 2.0 * acosh(0.5 * trace)
         assert abs(term_trace_squared(trace * trace) - term_cusped(b)) <= 1e-12
+
+
+def _cusped_bracket_mp(sech2, e_b):
+    return rogers_mp(sech2) + 2 * rogers_mp((1 + e_b) / 2) - 2 * rogers_mp((1 - e_b) / 2)
+
+
+def test_cusped_terms_are_accurate_relative_to_their_size():
+    # the bracket is of size b e^{-b} and the mpmath form cancels down to it:
+    # carry b / ln 10 more digits than the 30 kept
+    rng = random.Random(17)
+    near_the_switch = [0.999, 1.001, 1.9, 2.0]  # three rogers calls below b = 1, one above
+    for b in near_the_switch + [exp(rng.uniform(log(0.01), log(700.0))) for _ in range(120)]:
+        trace_squared = 4.0 * cosh(0.5 * b) ** 2
+        with mpmath.workdps(30 + int(b / 2.3)):
+            mb = mpmath.mpf(b)
+            exact = _cusped_bracket_mp(mpmath.sech(mb / 2) ** 2, mpmath.exp(-mb))
+            assert abs(term_cusped(b) - exact) <= 1e-15 * exact, b
+            # the trace form at the float tr^2 itself: u = tanh(b/2), e^{-b} = (1-u)/(1+u)
+            t2 = mpmath.mpf(trace_squared)
+            u = mpmath.sqrt(1 - 4 / t2)
+            exact = _cusped_bracket_mp(4 / t2, (1 - u) / (1 + u))
+            assert abs(term_trace_squared(trace_squared) - exact) <= 1e-15 * exact, b
+
+
+def test_cusped_terms_take_one_rogers_call_from_b_one(monkeypatch):
+    calls = []
+    monkeypatch.setattr(identities, "rogers", lambda z: calls.append(z) or rogers(z))
+    for b, expected in ((0.5, 3), (0.99, 3), (1.01, 1), (2.0, 1), (40.0, 1)):
+        for term in (lambda: term_cusped(b), lambda: term_trace_squared(4.0 * cosh(0.5 * b) ** 2)):
+            calls.clear()
+            term()
+            assert len(calls) == expected, b
+
+
+def test_brackets_near_zero_length_are_not_refused():
+    # the first dilogarithm argument is 1 to rounding there, and its float
+    # form can round above 1; L(1) = pi^2/6 is then the right value.  Both
+    # brackets fall short of pi^2/2 by O(b log(1/b)), under 24 b here
+    rng = random.Random(19)
+    for _ in range(2000):
+        b = exp(rng.uniform(log(1e-9), log(1e-6)))
+        k = exp(rng.uniform(log(1e-6), log(30.0)))
+        assert abs(term_cusped(b) - PI2_2) <= 30.0 * b, b
+        assert abs(term_one_holed(k, b) - PI2_2) <= 30.0 * b, (k, b)
 
 
 def test_trace_squared_limits():
@@ -286,6 +331,16 @@ def test_mcshane_term():
     assert abs(term_mcshane(1.0) - 1.0 / (1.0 + exp(1.0))) == 0.0
 
 
+def test_mcshane_refuses_what_the_other_kernels_refuse():
+    for b in (float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -1.0):
+        with pytest.raises(DomainError, match="b must be a positive length"):
+            term_mcshane(b)
+        with pytest.raises(DomainError, match="b must be a positive length"):
+            term_cusped(b)
+    assert term_mcshane(700.0) == 0.0
+    assert term_mcshane(1e300) == 0.0
+
+
 def test_pants_sum_term_symmetric():
     lengths = (0.8, 1.7, 2.9)
     base = pants_sum_term(*lengths)
@@ -328,6 +383,13 @@ def test_evaluate_cusped_identity_converges():
     assert report.target == PI2_2
     assert abs(report.defect) <= 1e-6
     assert report.term_count == 174
+
+
+@pytest.mark.parametrize("kind", [IdentityKind.THM12, IdentityKind.THM15, IdentityKind.FOUR_CUSPED])
+def test_modular_cusped_defect_reaches_roundoff_at_cutoff_45(kind):
+    # the truncation at cutoff 45 is ~6e-17; the brackets of long geodesics no
+    # longer cancel, so the defect is a few ulps of pi^2/2 (was ~1.5e-13)
+    assert abs(evaluate(kind, MODULAR, 45.0).defect) <= 4e-15
 
 
 def test_evaluate_mcshane_converges():
