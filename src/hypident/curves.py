@@ -28,9 +28,18 @@ is crossed both ways, by ((0,1), (1,0), x, y, z) and
 primitive class appears exactly once.  A child is pruned when its trace
 exceeds the cutoff and is >= both retained traces; the monotone growth
 of traces away from the minimal triangle justifies this, and the
-pruning-soundness tests enforce it.  A NaN trace (inf - inf on a huge
-unreduced root) fails that test, so its child is kept and ends in a
-typed refusal instead of silently losing a subtree.
+pruning-soundness tests enforce it.  A kept child (queued, or followed
+in the twist run) whose trace is <= 2 cannot belong to a hyperbolic
+surface: it is refused with `NonHyperbolicError` where it is formed,
+rather than walked on to the record cap.  A NaN trace (inf - inf from an
+infinite trace in an unvalidated root) fails both tests, so its child is
+kept, with its subtree, and ends in a typed refusal instead of silently
+losing a subtree.
+
+The walk emits into two lists, slopes and traces, in emission order.
+After it, one set over the slopes checks that no slope was emitted twice;
+the record pass then turns the traces into lengths, builds the records in
+bulk, and sorts them by (length, slope).
 
 Slope arithmetic is exact (Python integers); traces are binary64.
 
@@ -48,7 +57,7 @@ from math import acosh, cosh, gcd
 from operator import attrgetter
 from typing import NamedTuple
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, NonHyperbolicError, ResourceLimitError
 from .torus import (
     FenchelNielsen,
     TraceTriple,
@@ -157,6 +166,13 @@ def _record_limit(max_records, length_cutoff):
     )
 
 
+def _non_hyperbolic_child(a, b, trace):
+    p, q = a[0] + b[0], a[1] + b[1]
+    return NonHyperbolicError(
+        f"trace of slope {p}/{q} must exceed 2, got {trace!r}: not a hyperbolic structure"
+    )
+
+
 def enumerate_geodesics(
     triple: TraceTriple,
     length_cutoff: float,
@@ -182,9 +198,11 @@ def enumerate_geodesics(
     before it is followed or queued (see the module docstring).  Emission
     is therefore not breadth-first, but every node is visited once with
     the same float expressions, so the sorted records are those of a
-    breadth-first walk, bit for bit.  A NaN trace is kept and ends in
-    `NonHyperbolicError`, or in `ResourceLimitError` past `max_records`.
-    A cutoff outside (0, 1419] is refused with `DomainError`.
+    breadth-first walk, bit for bit.  A kept child trace <= 2 raises
+    `NonHyperbolicError` where it is formed; a NaN trace is kept and ends
+    in `NonHyperbolicError` or, as its subtree stays NaN, in
+    `ResourceLimitError` at `max_records`.  A cutoff outside (0, 1419] is
+    refused with `DomainError`.
 
     The cyclic garbage collector is paused from the walk through the sort,
     sparing full collections over the live tuples of a large spectrum; the
@@ -206,39 +224,50 @@ def enumerate_geodesics(
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        emitted = {Slope(p, q): t for p, q, t in ((0, 1, x0), (1, 0, y0)) if not t > trace_cutoff}
-        if len(emitted) > max_records:
+        # the records in emission order: slopes[i] has trace traces[i]
+        slopes, traces = [], []
+        for p, q, t in ((0, 1, x0), (1, 0, y0)):
+            if not t > trace_cutoff:
+                slopes.append(Slope(p, q))
+                traces.append(t)
+        if len(slopes) > max_records:
             raise _record_limit(max_records, length_cutoff)
+        emit_slope, emit_trace = slopes.append, traces.append
         queue = deque((((0, 1), (1, 0), x0, y0, z0), ((0, 1), (-1, 0), x0, y0, x0 * y0 - z0)))
         while queue:
             a, b, ta, tb, t = queue.popleft()
+            bp, bq = b  # the twist run keeps b
             # follow the twist run that keeps b inline; queue the children that keep a
             while True:
                 # the walk forms only canonical, primitive vectors: skip the check
-                v = _make_slope((a[0] + b[0], a[1] + b[1]))
-                # `not t > cutoff` keeps a NaN trace for the record pass to refuse
+                v = _make_slope((a[0] + bp, a[1] + bq))
+                # `not t > cutoff` keeps a NaN trace (see the module docstring)
                 if not t > trace_cutoff:
-                    assert v not in emitted, f"slope {v} enumerated twice"
-                    emitted[v] = t
-                    if len(emitted) > max_records:
+                    emit_slope(v)
+                    emit_trace(t)
+                    if len(slopes) > max_records:
                         raise _record_limit(max_records, length_cutoff)
                 # a NaN compares false in both prune tests, so its subtree is kept, not lost
                 c = ta * t - tb
                 if not (c > trace_cutoff and c >= ta and c >= t):
+                    if c <= 2.0:
+                        raise _non_hyperbolic_child(a, v, c)
                     queue.append((a, v, ta, t, c))
                 c = t * tb - ta
                 if c > trace_cutoff and c >= t and c >= tb:
                     break
+                if c <= 2.0:
+                    raise _non_hyperbolic_child(v, b, c)
                 a, ta, t = v, t, c
 
-        traces = list(emitted.values())
+        assert len(set(slopes)) == len(slopes), "a slope was enumerated twice"
         # emitted traces are never +inf, so `2 < t` fails exactly where
         # `length_from_trace` refuses: let it raise its own message
         if not all(map((2.0).__lt__, traces)):
             length_from_trace(next(t for t in traces if not 2.0 < t))
         lengths = [2.0 * acosh(0.5 * t) for t in traces]  # as in `length_from_trace`
-        records = list(map(_make_record, zip(emitted, traces, lengths)))
-        del emitted, traces, lengths  # the records hold every slope and float
+        records = list(map(_make_record, zip(slopes, traces, lengths)))
+        del slopes, traces, lengths  # the records hold every slope and float
         records.sort(key=attrgetter("length", "slope"))
         return records
     finally:

@@ -50,15 +50,19 @@ torus boundary k and an interior geodesic b, and
 
     4 pi^2 - sum_b 8 [2 La(e^{-b}, tanh^2(m/2)) + L(sech^2(p/2))].
 
-`iter_terms` is the one evaluation path: it enumerates the spectrum and
-yields each record with its term and the running sum; `evaluate` and the
-CLI consume it.  Summation is compensated (Neumaier) in ascending length
-order, so the result is deterministic and order-dependence stays below
-1e-14.
+`evaluate` and `iter_terms` share one path: enumerate the spectrum, take
+each record's term from the kind's table kernel, and feed the terms in
+ascending length order through one Neumaier (compensated) update, so the
+result is deterministic, order-dependence stays below 1e-14, and both give
+the same sum bit for bit.  `iter_terms` yields each record with its term
+and the running sum (the CLI's `terms`); `evaluate` sums the records
+straight from the list, under one pause of the cyclic collector.
 """
 
 import enum
+import gc
 import math
+from itertools import repeat
 from math import cosh, exp, expm1, pi, sqrt, tanh
 from typing import NamedTuple
 
@@ -127,6 +131,18 @@ class IdentityReport(NamedTuple):
         return {**self._asdict(), "parameters": dict(self.parameters), "kind": self.kind.value}
 
 
+def _neumaier(values, total=0.0, compensation=0.0):
+    """Neumaier's compensated update over `values`, from (total, compensation)."""
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total, compensation
+
+
 class RunningSum:
     """Neumaier compensated accumulator with a fixed feed order."""
 
@@ -138,21 +154,14 @@ class RunningSum:
 
     def add(self, value: float) -> float:
         """Feed `value`; returns the compensated running sum."""
-        total = self._sum + value
-        if abs(self._sum) >= abs(value):
-            self._compensation += (self._sum - total) + value
-        else:
-            self._compensation += (value - total) + self._sum
-        self._sum = total
-        return total + self._compensation
+        self._sum, self._compensation = _neumaier((value,), self._sum, self._compensation)
+        return self._sum + self._compensation
 
 
 def compensated_sum(values) -> float:
-    add = RunningSum().add
-    total = 0.0
-    for v in values:
-        total = add(v)
-    return total
+    """The compensated sum of `values` in feed order; equals the last `RunningSum.add`."""
+    total, compensation = _neumaier(values)
+    return total + compensation
 
 
 def _bracket(first, second, third):
@@ -397,13 +406,14 @@ def iter_terms(
     Records come in ascending length order; `partial` is the compensated
     sum of the terms yielded so far.  The kind, and the point against it,
     are checked before the spectrum is enumerated, which happens before the
-    first yield.
+    first yield.  The collector runs as the caller left it between yields.
     """
     k = triple.k
     check_point_kind(kind, k)
+    kernel = _IDENTITIES[kind][0]
     add = RunningSum().add
     for record in enumerate_geodesics(triple, cutoff, max_records=max_records):
-        term = identity_term(kind, k, record)
+        term = kernel(k, record)
         yield record, term, add(term)
 
 
@@ -414,21 +424,33 @@ def evaluate(
     *,
     max_records: int = DEFAULT_MAX_RECORDS,
 ) -> IdentityReport:
-    """Sum the `kind` terms of `iter_terms` into a report.
+    """Sum the `kind` terms over the spectrum of `triple` into a report.
 
-    Four-holed-sphere kinds take the torus point through the two-to-one
-    correspondence of interior geodesics: boundary c = k/2 and interior
-    length a = 2b for each torus record of length b.
+    The terms and their compensated sum are those of `iter_terms`, bit for
+    bit.  Four-holed-sphere kinds take the torus point through the
+    two-to-one correspondence of interior geodesics: boundary c = k/2 and
+    interior length a = 2b for each torus record of length b.
+
+    The cyclic garbage collector is paused from the enumeration until the
+    records are freed, so it never scans them (see `enumerate_geodesics`);
+    the caller's collector state is restored on return and on every raise.
     """
-    term_count, partial = 0, 0.0
-    for term_count, (_, _, partial) in enumerate(
-        iter_terms(kind, triple, cutoff, max_records=max_records), 1
-    ):
-        pass
-    _, _, target, reports_c = _IDENTITIES[kind]  # a known kind: iter_terms checked it
+    k = triple.k
+    check_point_kind(kind, k)
+    kernel, _, target, reports_c = _IDENTITIES[kind]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        records = enumerate_geodesics(triple, cutoff, max_records=max_records)
+        term_count = len(records)
+        partial = compensated_sum(map(kernel, repeat(k), records))
+        del records
+    finally:
+        if was_enabled:
+            gc.enable()
     parameters = triple._asdict()
     if reports_c:
-        parameters["c"] = 0.5 * triple.k
+        parameters["c"] = 0.5 * k
     return IdentityReport(
         kind=kind,
         parameters=parameters,
@@ -437,5 +459,5 @@ def evaluate(
         partial_sum=partial,
         target=target,
         defect=target - partial,
-        tail_estimate=tail_estimate(triple.k, cutoff),
+        tail_estimate=tail_estimate(k, cutoff),
     )

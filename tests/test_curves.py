@@ -1,7 +1,7 @@
 import gc
 import random
 from fractions import Fraction
-from math import acosh, cosh, gcd, sinh, sqrt
+from math import acosh, cosh, gcd, inf, nan, sinh, sqrt
 
 import pytest
 
@@ -182,13 +182,27 @@ def test_twist_family_matches_closed_form(b, t, k, cutoff):
         assert abs(r.trace - closed) <= 1e-10 * closed, r.slope
 
 
+def test_enumerate_refuses_a_child_trace_at_most_2():
+    # unreduced wrong-kappa roots whose walks form a negative child trace: it
+    # is refused where it is formed, before the walk runs on to the record cap
+    huge = trace_triple(13685.580536680813, 274139491.392735, 3751758067708.733)
+    with pytest.raises(NonHyperbolicError, match="slope -1/2 must exceed 2, got -92.66"):
+        enumerate_geodesics(huge, 14.0, reduce=False, max_records=20_000)
+    twisted = from_fenchel_nielsen(
+        FenchelNielsen(17.673630425906918, -43.28413822646521, 0.19816199865804)
+    )
+    with pytest.raises(NonHyperbolicError, match="got -30.17"):
+        enumerate_geodesics(twisted, 1.1076, reduce=False, max_records=200_000)
+
+
 def test_enumerate_keeps_nan_children():
-    # below this huge unreduced root the traces overflow and inf - inf gives
-    # NaN; the prune test lets NaN through, so the walk keeps those subtrees
+    # an unvalidated root with infinite traces: inf * 3 - inf gives NaN
+    # children before any trace <= 2.  The prune test and the child refusal
+    # both let NaN through, so the walk keeps those subtrees (NaN throughout)
     # and hits the record cap instead of returning a spectrum with holes
-    triple = trace_triple(13685.580536680813, 274139491.392735, 3751758067708.733)
+    root = TraceTriple(inf, inf, 3.0, nan, 0.0)
     with pytest.raises(ResourceLimitError):
-        enumerate_geodesics(triple, 14.0, reduce=False, max_records=20_000)
+        enumerate_geodesics(root, 4.0, reduce=False, max_records=1_000)
 
 
 def test_record_pass_refuses_a_bad_trace():

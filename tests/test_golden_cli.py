@@ -47,6 +47,11 @@ COMMANDS = [
     # long cutoffs, where terms are e^{-35}-small: every digit of the kernels shows
     ("verify", "--identity", "thm11", *_HOLED, "--cutoff", "35"),
     ("terms", "--identity", "thm31", *_HOLED, "--cutoff", "35", "--format", "csv"),
+    # a thin cusped point: 456 records in long twist runs, 227 adjacent
+    # pairs of equal length, so the (length, slope) order shows
+    ("spectrum", "--fn", "8,0,0", "--cutoff", "20", "--format", "csv"),
+    ("verify", "--identity", "mcshane", "--fn", "8,0,0", "--cutoff", "20"),
+    ("terms", "--identity", "thm15", "--fn", "8,0,0", "--cutoff", "20", "--format", "csv"),
 ]
 
 
@@ -179,6 +184,21 @@ GOLDEN = {
     "terms --identity thm31 --fn 1.2,0.4,1.5 --cutoff 35 --format csv": (
         0,
         "4b391d8b686d486509a213c8dc13cf67bc7d529aa1e87197a7493c484a57e5ef",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "spectrum --fn 8,0,0 --cutoff 20 --format csv": (
+        0,
+        "08cca53acfd85cafc9db417abe79505b79f595871dad47a27555312ec85b9570",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify --identity mcshane --fn 8,0,0 --cutoff 20": (
+        0,
+        "0deb11fdbff1164b9f40a4f02a4ff190f7e271f89e666cf0d2ecc94e53bee139",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "terms --identity thm15 --fn 8,0,0 --cutoff 20 --format csv": (
+        0,
+        "088ad60a4aa818c6ee5eb4417deb0f846d3350676eaa420197bcca89eece27f8",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 }

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import re
@@ -11,8 +12,11 @@ from hypident import (
     FenchelNielsen,
     GeodesicRecord,
     IdentityKind,
+    NonHyperbolicError,
     ResourceLimitError,
+    TraceTriple,
     compensated_sum,
+    curves,
     enumerate_geodesics,
     evaluate,
     foursphere_ortho,
@@ -554,15 +558,79 @@ def test_iter_terms_partials_are_compensated_prefix_sums(kind):
     assert len(terms) > 10
 
 
+# a thin cusped point: 456 records at cutoff 20, in long twist runs, with 227
+# adjacent pairs of equal length
+THIN = from_fenchel_nielsen(FenchelNielsen(8.0, 0.0, 0.0))
+
+
 @pytest.mark.parametrize("kind", list(IdentityKind), ids=lambda kind: kind.value)
 def test_iter_terms_agrees_with_evaluate(kind):
-    triple = _point_for(kind)
-    yielded = list(iter_terms(kind, triple, 14.0))
-    report = evaluate(kind, triple, 14.0)
-    assert len(yielded) == report.term_count
-    assert yielded[-1][2] == report.partial_sum
-    lengths = [record.length for record, _, _ in yielded]
-    assert lengths == sorted(lengths)
+    points = [(_point_for(kind), 14.0)] + [(THIN, 20.0)] * (kind in CUSPED_KINDS)
+    for triple, cutoff in points:
+        yielded = list(iter_terms(kind, triple, cutoff))
+        report = evaluate(kind, triple, cutoff)
+        assert len(yielded) == report.term_count
+        assert yielded[-1][2].hex() == report.partial_sum.hex()
+        lengths = [record.length for record, _, _ in yielded]
+        assert lengths == sorted(lengths)
+
+
+def test_thin_cusp_mcshane_sum_is_pinned():
+    # the thin-cusp benchmark point: 215,174 records, summed bit for bit
+    report = evaluate(IdentityKind.MCSHANE, from_fenchel_nielsen(FenchelNielsen(24.8, 0, 0)), 25.5)
+    assert report.term_count == 215174
+    assert report.partial_sum.hex() == "0x1.ffffafb651a8bp-2"
+
+
+def _evaluate_record_pass_refusal(monkeypatch):
+    # an unvalidated root, kept unreduced, whose only record has trace 2
+    monkeypatch.setattr(curves, "reduce_to_minimal", lambda triple: triple)
+    evaluate(IdentityKind.MCSHANE, TraceTriple(10.0, 2.0, 10.0, 4.0, 0.0), 4.0)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_evaluate_restores_the_collector_state(enabled, monkeypatch):
+    calls = [
+        (None, "", lambda: evaluate(IdentityKind.THM12, MODULAR, 10.0)),
+        (DomainError, "needs boundary length", lambda: evaluate(IdentityKind.THM11, MODULAR, 10.0)),
+        (ResourceLimitError, "exceeded 5 records",
+         lambda: evaluate(IdentityKind.THM12, MODULAR, 25.0, max_records=5)),
+        (NonHyperbolicError, "hyperbolic element, got 2.0$",
+         lambda: _evaluate_record_pass_refusal(monkeypatch)),
+    ]
+    if not enabled:
+        gc.disable()
+    try:
+        for raised, message, call in calls:
+            if raised is None:
+                call()
+            else:
+                with pytest.raises(raised, match=message):
+                    call()
+            assert gc.isenabled() is enabled, raised
+    finally:
+        gc.enable()
+
+
+def test_evaluate_pauses_the_collector_through_the_sum(monkeypatch):
+    seen = []
+
+    def spy(b):
+        seen.append(gc.isenabled())
+        return term_mcshane(b)
+
+    monkeypatch.setattr(identities, "term_mcshane", spy)
+    evaluate(IdentityKind.MCSHANE, MODULAR, 6.0)
+    assert seen and not any(seen)
+    assert gc.isenabled()
+
+
+def test_iter_terms_holds_no_pause_across_a_yield():
+    terms = iter_terms(IdentityKind.THM12, MODULAR, 10.0)
+    next(terms)
+    assert gc.isenabled()
+    next(terms)
+    assert gc.isenabled()
 
 
 def test_iter_terms_rejects_cusped_kind_at_holed_point():

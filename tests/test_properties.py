@@ -2,10 +2,11 @@
 
 from math import cosh, exp, log
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypident import GeodesicRecord, IdentityKind, identity_term
+from hypident import GeodesicRecord, IdentityKind, compensated_sum, identity_term
+from hypident.identities import RunningSum
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
@@ -21,3 +22,27 @@ def test_orthogeodesic_kinds_match_thm11(log_k, log_b):
     reference = identity_term(IdentityKind.THM11, k, record)
     for kind in (IdentityKind.THM31, IdentityKind.FOUR):
         assert abs(identity_term(kind, k, record) - reference) <= 1e-14
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(-1e-305, 1e-305),  # subnormals and their neighbours
+            st.sampled_from([1e16, -1e16, 1.0, -1.0, 0.0, -0.0]),
+        ),
+        max_size=30,
+    )
+)
+@example([1e16, 1.0, -1e16])
+@example([5e-324, -1.5e-323, 2.2250738585072014e-308, -1e-310])
+@example([1e300, -3.5, 1e-300, -1e300, 2.0])
+@example([-0.0])
+@example([])
+def test_compensated_sum_is_the_last_running_sum(values):
+    # one Neumaier update serves both: they agree bit for bit, signed zeros included
+    running, last = RunningSum(), 0.0
+    for value in values:
+        last = running.add(value)
+    assert compensated_sum(values).hex() == last.hex()
