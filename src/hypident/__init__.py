@@ -21,6 +21,7 @@ from .curves import (
     enumerate_geodesics,
     markov_child,
     reduce_to_minimal,
+    spectrum_columns,
 )
 from .dilog import lasso, li2, rogers
 from .errors import (
@@ -108,6 +109,7 @@ __all__ = [
     "quasi_pants_term",
     "reduce_to_minimal",
     "rogers",
+    "spectrum_columns",
     "tail_estimate",
     "term_cusped",
     "term_foursphere_cusped",

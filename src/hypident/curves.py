@@ -37,9 +37,11 @@ kept, with its subtree, and ends in a typed refusal instead of silently
 losing a subtree.
 
 The walk emits into two lists, slopes and traces, in emission order.
-After it, one set over the slopes checks that no slope was emitted twice;
-the record pass then turns the traces into lengths, builds the records in
-bulk, and sorts them by (length, slope).
+After it, one set over the slopes checks that no slope was emitted twice.
+`enumerate_geodesics` then turns the traces into lengths, builds the
+records in bulk, and sorts them by (trace, slope), and so by length;
+`spectrum_columns` drops the slopes and sorts the traces as plain floats,
+into the same order of lengths and traces.
 
 Slope arithmetic is exact (Python integers); traces are binary64.
 
@@ -75,6 +77,7 @@ __all__ = [
     "markov_child",
     "reduce_to_minimal",
     "enumerate_geodesics",
+    "spectrum_columns",
     "brute_force_trace",
     "DEFAULT_MAX_RECORDS",
 ]
@@ -173,6 +176,86 @@ def _non_hyperbolic_child(a, b, trace):
     )
 
 
+class _CollectorPause:
+    """Pause the cyclic collector, then restore the caller's state, raise or not.
+
+    A spectrum build forms no reference cycles: the pause delays no
+    reclamation, and spares full collections over a large spectrum.
+    """
+
+    __slots__ = ("was_enabled",)
+
+    def __enter__(self):
+        self.was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info):
+        if self.was_enabled:
+            gc.enable()
+
+
+def _lengths(traces):
+    # as in `length_from_trace`, whose refusals `_walk` has already applied
+    return [2.0 * acosh(0.5 * t) for t in traces]
+
+
+def _walk(triple, length_cutoff, reduce, max_records):
+    """The slopes and traces within the cutoff, in emission order (see the module doc)."""
+    if not (math.isfinite(length_cutoff) and length_cutoff > 0.0):
+        raise DomainError(f"length cutoff must be positive, got {length_cutoff!r}")
+    if length_cutoff > _MAX_CUTOFF:
+        raise DomainError(
+            f"length cutoff must be <= {_MAX_CUTOFF} for a finite trace cutoff,"
+            f" got {length_cutoff!r}"
+        )
+    root = reduce_to_minimal(triple) if reduce else triple
+    x0, y0, z0 = root.x, root.y, root.z
+    trace_cutoff = 2.0 * cosh(0.5 * length_cutoff)
+
+    # slopes[i] has trace traces[i]
+    slopes, traces = [], []
+    for p, q, t in ((0, 1, x0), (1, 0, y0)):
+        if not t > trace_cutoff:
+            slopes.append(Slope(p, q))
+            traces.append(t)
+    if len(slopes) > max_records:
+        raise _record_limit(max_records, length_cutoff)
+    emit_slope, emit_trace = slopes.append, traces.append
+    queue = deque((((0, 1), (1, 0), x0, y0, z0), ((0, 1), (-1, 0), x0, y0, x0 * y0 - z0)))
+    while queue:
+        a, b, ta, tb, t = queue.popleft()
+        bp, bq = b  # the twist run keeps b
+        # follow the twist run that keeps b inline; queue the children that keep a
+        while True:
+            # the walk forms only canonical, primitive vectors: skip the check
+            v = _make_slope((a[0] + bp, a[1] + bq))
+            # `not t > cutoff` keeps a NaN trace (see the module docstring)
+            if not t > trace_cutoff:
+                emit_slope(v)
+                emit_trace(t)
+                if len(slopes) > max_records:
+                    raise _record_limit(max_records, length_cutoff)
+            # a NaN compares false in both prune tests, so its subtree is kept, not lost
+            c = ta * t - tb
+            if not (c > trace_cutoff and c >= ta and c >= t):
+                if c <= 2.0:
+                    raise _non_hyperbolic_child(a, v, c)
+                queue.append((a, v, ta, t, c))
+            c = t * tb - ta
+            if c > trace_cutoff and c >= t and c >= tb:
+                break
+            if c <= 2.0:
+                raise _non_hyperbolic_child(v, b, c)
+            a, ta, t = v, t, c
+
+    assert len(set(slopes)) == len(slopes), "a slope was enumerated twice"
+    # emitted traces are never +inf, so `2 < t` fails exactly where
+    # `length_from_trace` refuses: let it raise its own message
+    if not all(map((2.0).__lt__, traces)):
+        length_from_trace(next(t for t in traces if not 2.0 < t))
+    return slopes, traces
+
+
 def enumerate_geodesics(
     triple: TraceTriple,
     length_cutoff: float,
@@ -182,12 +265,13 @@ def enumerate_geodesics(
 ):
     """All simple closed geodesics of length <= `length_cutoff`, each once.
 
-    Records are sorted by (length, slope) ascending, slopes in rational
-    order.  Slopes are assigned in the marking of the tree root: the root
-    edge joins 0/1 and 1/0, with traces x and y, and its two triangles add
-    1/1 (trace z) and -1/1 (trace xy - z).  By default the root is
-    `reduce_to_minimal(triple)`; pass ``reduce=False`` to keep the marking
-    of `triple` itself.
+    Records are sorted by (trace, slope) ascending, slopes in rational
+    order, and so by length; `spectrum_columns` gives the same lengths and
+    traces in the same order.  Slopes are assigned in the marking of the
+    tree root: the root edge joins 0/1 and 1/0, with traces x and y, and
+    its two triangles add 1/1 (trace z) and -1/1 (trace xy - z).  By
+    default the root is `reduce_to_minimal(triple)`; pass ``reduce=False``
+    to keep the marking of `triple` itself.
 
     Distinct slopes of equal length stay distinct records, so spectrum
     multiplicity is automatic.
@@ -204,75 +288,32 @@ def enumerate_geodesics(
     `ResourceLimitError` at `max_records`.  A cutoff outside (0, 1419] is
     refused with `DomainError`.
 
-    The cyclic garbage collector is paused from the walk through the sort,
-    sparing full collections over the live tuples of a large spectrum; the
-    build forms no reference cycles, so the pause delays no reclamation,
-    and the caller's collector state is restored on return and on every
-    raise.
+    The cyclic garbage collector is paused from the walk through the sort;
+    the caller's collector state is restored on return and on every raise.
     """
-    if not (math.isfinite(length_cutoff) and length_cutoff > 0.0):
-        raise DomainError(f"length cutoff must be positive, got {length_cutoff!r}")
-    if length_cutoff > _MAX_CUTOFF:
-        raise DomainError(
-            f"length cutoff must be <= {_MAX_CUTOFF} for a finite trace cutoff,"
-            f" got {length_cutoff!r}"
-        )
-    root = reduce_to_minimal(triple) if reduce else triple
-    x0, y0, z0 = root.x, root.y, root.z
-    trace_cutoff = 2.0 * cosh(0.5 * length_cutoff)
-
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        # the records in emission order: slopes[i] has trace traces[i]
-        slopes, traces = [], []
-        for p, q, t in ((0, 1, x0), (1, 0, y0)):
-            if not t > trace_cutoff:
-                slopes.append(Slope(p, q))
-                traces.append(t)
-        if len(slopes) > max_records:
-            raise _record_limit(max_records, length_cutoff)
-        emit_slope, emit_trace = slopes.append, traces.append
-        queue = deque((((0, 1), (1, 0), x0, y0, z0), ((0, 1), (-1, 0), x0, y0, x0 * y0 - z0)))
-        while queue:
-            a, b, ta, tb, t = queue.popleft()
-            bp, bq = b  # the twist run keeps b
-            # follow the twist run that keeps b inline; queue the children that keep a
-            while True:
-                # the walk forms only canonical, primitive vectors: skip the check
-                v = _make_slope((a[0] + bp, a[1] + bq))
-                # `not t > cutoff` keeps a NaN trace (see the module docstring)
-                if not t > trace_cutoff:
-                    emit_slope(v)
-                    emit_trace(t)
-                    if len(slopes) > max_records:
-                        raise _record_limit(max_records, length_cutoff)
-                # a NaN compares false in both prune tests, so its subtree is kept, not lost
-                c = ta * t - tb
-                if not (c > trace_cutoff and c >= ta and c >= t):
-                    if c <= 2.0:
-                        raise _non_hyperbolic_child(a, v, c)
-                    queue.append((a, v, ta, t, c))
-                c = t * tb - ta
-                if c > trace_cutoff and c >= t and c >= tb:
-                    break
-                if c <= 2.0:
-                    raise _non_hyperbolic_child(v, b, c)
-                a, ta, t = v, t, c
-
-        assert len(set(slopes)) == len(slopes), "a slope was enumerated twice"
-        # emitted traces are never +inf, so `2 < t` fails exactly where
-        # `length_from_trace` refuses: let it raise its own message
-        if not all(map((2.0).__lt__, traces)):
-            length_from_trace(next(t for t in traces if not 2.0 < t))
-        lengths = [2.0 * acosh(0.5 * t) for t in traces]  # as in `length_from_trace`
-        records = list(map(_make_record, zip(slopes, traces, lengths)))
-        del slopes, traces, lengths  # the records hold every slope and float
-        records.sort(key=attrgetter("length", "slope"))
+    with _CollectorPause():
+        slopes, traces = _walk(triple, length_cutoff, reduce, max_records)
+        records = list(map(_make_record, zip(slopes, traces, _lengths(traces))))
+        del slopes, traces  # the records hold every slope and float
+        records.sort(key=attrgetter("trace", "slope"))
         return records
-    finally:
-        if was_enabled:
-            gc.enable()
+
+
+def spectrum_columns(
+    triple: TraceTriple,
+    length_cutoff: float,
+    *,
+    max_records: int = DEFAULT_MAX_RECORDS,
+):
+    """The length and trace columns of `enumerate_geodesics(triple, length_cutoff)`.
+
+    The same walk, refusals and collector pause, but no record is built:
+    the slopes are dropped and the traces sorted as plain floats.
+    """
+    with _CollectorPause():
+        traces = _walk(triple, length_cutoff, True, max_records)[1]  # frees the slopes
+        traces.sort()
+        return _lengths(traces), traces
 
 
 _ORACLE_SCALE = 50

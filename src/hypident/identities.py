@@ -51,22 +51,29 @@ torus boundary k and an interior geodesic b, and
     4 pi^2 - sum_b 8 [2 La(e^{-b}, tanh^2(m/2)) + L(sech^2(p/2))].
 
 `evaluate` and `iter_terms` share one path: enumerate the spectrum, take
-each record's term from the kind's table kernel, and feed the terms in
-ascending length order through one Neumaier (compensated) update, so the
-result is deterministic, order-dependence stays below 1e-14, and both give
-the same sum bit for bit.  `iter_terms` yields each record with its term
-and the running sum (the CLI's `terms`); `evaluate` sums the records
-straight from the list, under one pause of the cyclic collector.
+each geodesic's term from the kind's table kernel, which reads only its
+length and trace, and feed the terms in ascending trace order through one
+Neumaier (compensated) update, so the result is deterministic,
+order-dependence stays below 1e-14, and both give the same sum bit for bit
+(equal traces give equal terms).  `iter_terms` yields each record with its
+term and the running sum (the CLI's `terms`); `evaluate` sums the sorted
+columns of `spectrum_columns`, under one collector pause, and builds no
+record.
 """
 
 import enum
-import gc
 import math
 from itertools import repeat
 from math import cosh, exp, expm1, pi, sqrt, tanh
 from typing import NamedTuple
 
-from .curves import DEFAULT_MAX_RECORDS, GeodesicRecord, enumerate_geodesics
+from .curves import (
+    DEFAULT_MAX_RECORDS,
+    GeodesicRecord,
+    _CollectorPause,
+    enumerate_geodesics,
+    spectrum_columns,
+)
 from .dilog import ODD_SERIES_MAX, lasso, rogers, rogers_odd_series
 from .errors import DomainError
 from .pants import foursphere_ortho, pants_geometry, torus_ortho
@@ -337,29 +344,29 @@ def torus_contribution_partial(k: float, records) -> float:
     return 4.0 * pi * pi - compensated_sum(term(record.length) for record in records)
 
 
-def _thm31_term(k, record):
-    ortho = torus_ortho(k, record.length)
+def _thm31_term(k, b, _trace):
+    ortho = torus_ortho(k, b)
     return term_ortho_torus(k, ortho.m, ortho.q)
 
 
-def _four_term(k, record):
-    ortho = foursphere_ortho(0.5 * k, 2.0 * record.length)
+def _four_term(k, b, _trace):
+    ortho = foursphere_ortho(0.5 * k, 2.0 * b)
     return term_ortho_torus(k, ortho.m, ortho.p)
 
 
-# kind -> (kernel, cusped, target, reports_c).  kernel(k, record) is the
-# record's term, every name inside it read at call time; a cusped kind needs
+# kind -> (kernel, cusped, target, reports_c).  kernel(k, length, trace) is a
+# geodesic's term, every name inside it read at call time; a cusped kind needs
 # k = 0, the others a boundary k > 0; target is the value of the full sum;
 # reports_c adds the four-holed-sphere boundary c = k/2 to the parameters
 _IDENTITIES = {
-    IdentityKind.THM11: (lambda k, r: term_one_holed(k, r.length), False, PI2_2, False),
-    IdentityKind.THM12: (lambda k, r: term_cusped(r.length), True, PI2_2, False),
-    IdentityKind.THM15: (lambda k, r: term_trace_squared(r.trace * r.trace), True, PI2_2, False),
+    IdentityKind.THM11: (lambda k, b, t: term_one_holed(k, b), False, PI2_2, False),
+    IdentityKind.THM12: (lambda k, b, t: term_cusped(b), True, PI2_2, False),
+    IdentityKind.THM15: (lambda k, b, t: term_trace_squared(t * t), True, PI2_2, False),
     IdentityKind.THM31: (_thm31_term, False, PI2_2, False),
     IdentityKind.FOUR: (_four_term, False, PI2_2, True),
-    IdentityKind.FOUR_SIMPLE: (lambda k, r: term_one_holed(k, r.length), False, PI2_2, True),
-    IdentityKind.FOUR_CUSPED: (lambda k, r: term_cusped(r.length), True, PI2_2, True),
-    IdentityKind.MCSHANE: (lambda k, r: term_mcshane(r.length), True, 0.5, False),
+    IdentityKind.FOUR_SIMPLE: (lambda k, b, t: term_one_holed(k, b), False, PI2_2, True),
+    IdentityKind.FOUR_CUSPED: (lambda k, b, t: term_cusped(b), True, PI2_2, True),
+    IdentityKind.MCSHANE: (lambda k, b, t: term_mcshane(b), True, 0.5, False),
 }
 
 
@@ -382,7 +389,7 @@ def identity_term(kind: IdentityKind, k: float, record: GeodesicRecord) -> float
         kernel = _IDENTITIES[kind][0]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise DomainError(f"unknown identity kind {kind!r}") from None
-    return kernel(k, record)
+    return kernel(k, record.length, record.trace)
 
 
 def tail_estimate(k: float, cutoff: float) -> float:
@@ -403,17 +410,18 @@ def iter_terms(
 ):
     """Yield (record, term, partial) over the spectrum of `triple`.
 
-    Records come in ascending length order; `partial` is the compensated
-    sum of the terms yielded so far.  The kind, and the point against it,
-    are checked before the spectrum is enumerated, which happens before the
-    first yield.  The collector runs as the caller left it between yields.
+    Records come in ascending (trace, slope) order; `partial` is the
+    compensated sum of the terms yielded so far.  The kind, and the point
+    against it, are checked before the spectrum is enumerated, which happens
+    before the first yield.  The collector runs as the caller left it
+    between yields.
     """
     k = triple.k
     check_point_kind(kind, k)
     kernel = _IDENTITIES[kind][0]
     add = RunningSum().add
     for record in enumerate_geodesics(triple, cutoff, max_records=max_records):
-        term = kernel(k, record)
+        term = kernel(k, record.length, record.trace)
         yield record, term, add(term)
 
 
@@ -426,28 +434,24 @@ def evaluate(
 ) -> IdentityReport:
     """Sum the `kind` terms over the spectrum of `triple` into a report.
 
-    The terms and their compensated sum are those of `iter_terms`, bit for
-    bit.  Four-holed-sphere kinds take the torus point through the
-    two-to-one correspondence of interior geodesics: boundary c = k/2 and
-    interior length a = 2b for each torus record of length b.
+    The sum runs over the sorted columns of `spectrum_columns`, with no
+    record built; its terms and sum are those of `iter_terms`, bit for bit.
+    Four-holed-sphere kinds take the torus point through the two-to-one
+    correspondence of interior geodesics: boundary c = k/2 and interior
+    length a = 2b for each torus geodesic of length b.
 
     The cyclic garbage collector is paused from the enumeration until the
-    records are freed, so it never scans them (see `enumerate_geodesics`);
-    the caller's collector state is restored on return and on every raise.
+    columns are freed; the caller's collector state is restored on return
+    and on every raise.
     """
     k = triple.k
     check_point_kind(kind, k)
     kernel, _, target, reports_c = _IDENTITIES[kind]
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        records = enumerate_geodesics(triple, cutoff, max_records=max_records)
-        term_count = len(records)
-        partial = compensated_sum(map(kernel, repeat(k), records))
-        del records
-    finally:
-        if was_enabled:
-            gc.enable()
+    with _CollectorPause():
+        lengths, traces = spectrum_columns(triple, cutoff, max_records=max_records)
+        term_count = len(lengths)
+        partial = compensated_sum(map(kernel, repeat(k), lengths, traces))
+        del lengths, traces
     parameters = triple._asdict()
     if reports_c:
         parameters["c"] = 0.5 * k

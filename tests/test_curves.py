@@ -18,9 +18,21 @@ from hypident import (
     length_from_trace,
     markov_child,
     reduce_to_minimal,
+    spectrum_columns,
     trace_triple,
 )
 from hypident import curves
+
+# FN(8, 0, 0) with y one ulp lower: at cutoff 20, 11 adjacent pairs of equal
+# length have unequal traces, and in 7 of them rational and trace order disagree
+PINNED = trace_triple(54.61646567203297, 2.0013423008033646, 54.653121534907235)
+
+
+def _refusal(call):
+    # the type and message of what `call` raises
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
 
 
 def test_markov_child_examples():
@@ -73,12 +85,25 @@ def test_enumerate_root_invariance():
 
 
 def test_enumerate_sorted_and_distinct():
-    records = enumerate_geodesics(trace_triple(3.0, 3.0, 4.0), 14.0)
-    assert len({(r.slope.p, r.slope.q) for r in records}) == len(records)
-    for u, v in zip(records, records[1:]):
-        assert u.length < v.length or (u.length == v.length and u.slope < v.slope)
-    for r in records:
-        assert abs(r.length - 2.0 * acosh(0.5 * r.trace)) <= 1e-14
+    # records sorted by (trace, slope), and so by length; `spectrum_columns`
+    # gives their length and trace columns, in the same order
+    for triple, cutoff in [
+        (trace_triple(3.0, 3.0, 4.0), 14.0),
+        (from_fenchel_nielsen(FenchelNielsen(8.0, 0.0, 0.0)), 20.0),
+        (trace_triple(3.0, 3.0, 3.0), 45.0),
+        (from_fenchel_nielsen(FenchelNielsen(1.2, 0.4, 1.5)), 30.0),
+        (PINNED, 20.0),
+    ]:
+        records = enumerate_geodesics(triple, cutoff)
+        assert len({(r.slope.p, r.slope.q) for r in records}) == len(records)
+        for u, v in zip(records, records[1:]):
+            assert u.trace < v.trace or (u.trace == v.trace and u.slope < v.slope)
+            assert u.length <= v.length
+        for r in records:
+            assert abs(r.length - 2.0 * acosh(0.5 * r.trace)) <= 1e-14
+        lengths, traces = spectrum_columns(triple, cutoff)
+        assert lengths == [r.length for r in records]
+        assert traces == [r.trace for r in records]
 
 
 def test_slope_completeness_matches_totients():
@@ -139,6 +164,20 @@ def test_enumerate_deterministic():
     assert repr(first) == repr(second)
 
 
+def test_equal_lengths_of_unequal_traces_come_in_trace_order():
+    records = enumerate_geodesics(PINNED, 20.0)
+    assert len(records) == 456
+    pairs = [
+        (u, v)
+        for u, v in zip(records, records[1:])
+        if u.length == v.length and u.trace != v.trace
+    ]
+    assert len(pairs) == 11 and all(u.trace < v.trace for u, v in pairs)
+    against = [(u.slope, v.slope) for u, v in pairs if u.slope > v.slope]
+    assert len(against) == 7
+    assert against[0] == (Slope(1, 1), Slope(-1, 1))
+
+
 def test_enumerate_resource_cap():
     with pytest.raises(ResourceLimitError):
         enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 25.0, max_records=10)
@@ -151,8 +190,10 @@ def test_resource_cap_counts_twist_run_emissions():
     count = len(enumerate_geodesics(triple, 20.0))
     assert count > 400
     assert len(enumerate_geodesics(triple, 20.0, max_records=count)) == count
-    with pytest.raises(ResourceLimitError):
-        enumerate_geodesics(triple, 20.0, max_records=count - 1)
+    assert len(spectrum_columns(triple, 20.0, max_records=count)[0]) == count
+    refused = _refusal(lambda: enumerate_geodesics(triple, 20.0, max_records=count - 1))
+    assert refused[0] is ResourceLimitError
+    assert _refusal(lambda: spectrum_columns(triple, 20.0, max_records=count - 1)) == refused
 
 
 def test_resource_cap_counts_root_emissions():
@@ -214,7 +255,8 @@ def test_record_pass_refuses_a_bad_trace():
 
 
 def test_collector_is_paused_through_the_record_pass(monkeypatch):
-    # the record pass runs inside the pause, and a raise from it restores the collector
+    # the record pass runs inside the pause, and a raise from it restores the
+    # collector; `spectrum_columns` always reduces, so the reduction is patched out
     seen = []
 
     def spy(tr):
@@ -222,24 +264,30 @@ def test_collector_is_paused_through_the_record_pass(monkeypatch):
         return length_from_trace(tr)
 
     monkeypatch.setattr(curves, "length_from_trace", spy)
+    monkeypatch.setattr(curves, "reduce_to_minimal", lambda triple: triple)
+    root = TraceTriple(10.0, 2.0, 10.0, 4.0, 0.0)
     assert gc.isenabled()
-    with pytest.raises(NonHyperbolicError):
-        enumerate_geodesics(TraceTriple(10.0, 2.0, 10.0, 4.0, 0.0), 4.0, reduce=False)
-    assert seen == [False]
+    refused = _refusal(lambda: enumerate_geodesics(root, 4.0))
+    assert refused[0] is NonHyperbolicError
+    assert _refusal(lambda: spectrum_columns(root, 4.0)) == refused
+    assert seen == [False, False]
     assert gc.isenabled()
 
 
 def test_collector_is_restored_after_the_record_cap():
-    assert gc.isenabled()
-    with pytest.raises(ResourceLimitError):
-        enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 25.0, max_records=5)
-    assert gc.isenabled()
+    for spectrum in (enumerate_geodesics, spectrum_columns):
+        assert gc.isenabled()
+        with pytest.raises(ResourceLimitError):
+            spectrum(trace_triple(3.0, 3.0, 3.0), 25.0, max_records=5)
+        assert gc.isenabled()
 
 
 def test_collector_disabled_by_the_caller_stays_disabled():
     gc.disable()
     try:
         assert len(enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 10.0)) > 0
+        assert not gc.isenabled()
+        assert len(spectrum_columns(trace_triple(3.0, 3.0, 3.0), 10.0)[0]) > 0
         assert not gc.isenabled()
     finally:
         gc.enable()
@@ -248,8 +296,9 @@ def test_collector_disabled_by_the_caller_stays_disabled():
 def test_enumerate_rejects_bad_cutoff():
     # 2cosh(L/2) overflows at 1500 and is inf at 1420.5, which prunes nothing
     for cutoff in (0.0, 1500.0, 1420.5):
-        with pytest.raises(DomainError):
-            enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), cutoff)
+        refused = _refusal(lambda: enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), cutoff))
+        assert refused[0] is DomainError
+        assert _refusal(lambda: spectrum_columns(trace_triple(3.0, 3.0, 3.0), cutoff)) == refused
 
 
 def test_slope_canonical_and_order():
@@ -288,11 +337,12 @@ def test_slope_order_matches_fractions():
     ],
 )
 def test_enumerate_equal_lengths_in_rational_order(triple, cutoff):
+    # equal lengths come in trace order, and equal traces in rational order
     records = enumerate_geodesics(triple, cutoff)
     ties = [(u, v) for u, v in zip(records, records[1:]) if u.length == v.length]
     assert len(ties) >= 30
     for u, v in ties:
-        assert _rational_key(u.slope) < _rational_key(v.slope)
+        assert (u.trace, _rational_key(u.slope)) < (v.trace, _rational_key(v.slope))
 
 
 def test_slope_rejects_non_primitive():

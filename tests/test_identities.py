@@ -522,6 +522,7 @@ def test_unknown_kind_is_refused_before_enumeration(monkeypatch):
         raise AssertionError("the spectrum was enumerated")
 
     monkeypatch.setattr(identities, "enumerate_geodesics", unreachable)
+    monkeypatch.setattr(identities, "spectrum_columns", unreachable)
     # the cusp, a holed point, and a cutoff below its shortest geodesic
     for triple, cutoff in ((MODULAR, 25.0), (HOLED, 25.0), (HOLED, 0.1)):
         for kind in ("thm11", None, ["thm11"]):
@@ -529,6 +530,19 @@ def test_unknown_kind_is_refused_before_enumeration(monkeypatch):
                 next(iter_terms(kind, triple, cutoff))
             with pytest.raises(DomainError, match="unknown identity kind"):
                 evaluate(kind, triple, cutoff)
+
+
+def test_evaluate_builds_no_record(monkeypatch):
+    # evaluate sums the columns of `spectrum_columns`: no record is built
+    want = {kind: evaluate(kind, _point_for(kind), 14.0) for kind in IdentityKind}
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a record was built")
+
+    monkeypatch.setattr(identities, "enumerate_geodesics", unreachable)
+    monkeypatch.setattr(curves, "_make_record", unreachable)
+    for kind, report in want.items():
+        assert evaluate(kind, _point_for(kind), 14.0) == report
 
 
 def test_compensated_sum_rescues_cancellation():
@@ -561,11 +575,13 @@ def test_iter_terms_partials_are_compensated_prefix_sums(kind):
 # a thin cusped point: 456 records at cutoff 20, in long twist runs, with 227
 # adjacent pairs of equal length
 THIN = from_fenchel_nielsen(FenchelNielsen(8.0, 0.0, 0.0))
+# THIN with y one ulp lower: 11 adjacent pairs of equal length and unequal trace
+PINNED = trace_triple(54.61646567203297, 2.0013423008033646, 54.653121534907235)
 
 
 @pytest.mark.parametrize("kind", list(IdentityKind), ids=lambda kind: kind.value)
 def test_iter_terms_agrees_with_evaluate(kind):
-    points = [(_point_for(kind), 14.0)] + [(THIN, 20.0)] * (kind in CUSPED_KINDS)
+    points = [(_point_for(kind), 14.0)] + [(THIN, 20.0), (PINNED, 20.0)] * (kind in CUSPED_KINDS)
     for triple, cutoff in points:
         yielded = list(iter_terms(kind, triple, cutoff))
         report = evaluate(kind, triple, cutoff)

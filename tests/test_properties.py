@@ -1,12 +1,24 @@
 """Property tests over log-uniform points, with fixed example generation."""
 
+import re
 from math import cosh, exp, log
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hypident import GeodesicRecord, IdentityKind, compensated_sum, identity_term
-from hypident.identities import RunningSum
+from hypident import (
+    DomainError,
+    FenchelNielsen,
+    GeodesicRecord,
+    IdentityKind,
+    compensated_sum,
+    evaluate,
+    from_fenchel_nielsen,
+    identity_term,
+    iter_terms,
+)
+from hypident.identities import RunningSum, check_point_kind
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
@@ -46,3 +58,34 @@ def test_compensated_sum_is_the_last_running_sum(values):
     for value in values:
         last = running.add(value)
     assert compensated_sum(values).hex() == last.hex()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    log_b=st.floats(log(0.3), log(8.0)),
+    twist=st.floats(-1.0, 1.0),
+    k=st.one_of(st.just(0.0), st.floats(0.1, 4.0)),
+    cutoff=st.floats(10.0, 14.0),
+)
+def test_evaluate_is_the_last_iter_terms_partial(log_b, twist, k, cutoff):
+    # evaluate sums the sorted columns, iter_terms the records: the same count
+    # and bits, or the same typed refusal (the reduction refuses some twisted roots)
+    b = exp(log_b)
+    try:
+        triple = from_fenchel_nielsen(FenchelNielsen(b, twist * b, k))
+    except DomainError:
+        assume(False)  # the point itself is refused: no sum to compare
+    for kind in IdentityKind:
+        try:
+            check_point_kind(kind, k)
+        except DomainError:
+            continue
+        try:
+            report = evaluate(kind, triple, cutoff)
+        except DomainError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                list(iter_terms(kind, triple, cutoff))
+            continue
+        partials = [partial for _, _, partial in iter_terms(kind, triple, cutoff)]
+        assert report.term_count == len(partials)
+        assert report.partial_sum.hex() == (partials[-1] if partials else 0.0).hex()
