@@ -57,8 +57,8 @@ Neumaier (compensated) update, so the result is deterministic,
 order-dependence stays below 1e-14, and both give the same sum bit for bit
 (equal traces give equal terms).  `iter_terms` yields each record with its
 term and the running sum (the CLI's `terms`); `evaluate` sums the sorted
-columns of `spectrum_columns`, under one collector pause, and builds no
-record.
+columns of `spectrum_columns` and builds no record; the collector pause is
+`curves`' own, as only two lists of untracked floats outlive the walk.
 """
 
 import enum
@@ -67,13 +67,7 @@ from itertools import repeat
 from math import cosh, exp, expm1, pi, sqrt, tanh
 from typing import NamedTuple
 
-from .curves import (
-    DEFAULT_MAX_RECORDS,
-    GeodesicRecord,
-    _CollectorPause,
-    enumerate_geodesics,
-    spectrum_columns,
-)
+from .curves import DEFAULT_MAX_RECORDS, GeodesicRecord, enumerate_geodesics, spectrum_columns
 from .dilog import ODD_SERIES_MAX, lasso, rogers, rogers_odd_series
 from .errors import DomainError
 from .pants import foursphere_ortho, pants_geometry, torus_ortho
@@ -100,7 +94,6 @@ __all__ = [
     "evaluate",
     "tail_estimate",
     "compensated_sum",
-    "RunningSum",
 ]
 
 PI2_2 = pi * pi / 2.0
@@ -150,23 +143,8 @@ def _neumaier(values, total=0.0, compensation=0.0):
     return total, compensation
 
 
-class RunningSum:
-    """Neumaier compensated accumulator with a fixed feed order."""
-
-    __slots__ = ("_sum", "_compensation")
-
-    def __init__(self):
-        self._sum = 0.0
-        self._compensation = 0.0
-
-    def add(self, value: float) -> float:
-        """Feed `value`; returns the compensated running sum."""
-        self._sum, self._compensation = _neumaier((value,), self._sum, self._compensation)
-        return self._sum + self._compensation
-
-
 def compensated_sum(values) -> float:
-    """The compensated sum of `values` in feed order; equals the last `RunningSum.add`."""
+    """The compensated sum of `values` in feed order; equals the last `iter_terms` partial."""
     total, compensation = _neumaier(values)
     return total + compensation
 
@@ -370,26 +348,27 @@ _IDENTITIES = {
 }
 
 
-def check_point_kind(kind: IdentityKind, k: float) -> None:
-    """Reject an unknown kind and point/identity mismatches (cusped kinds need k = 0)."""
+def _row(kind):
     try:
-        cusped = _IDENTITIES[kind][1]
+        return _IDENTITIES[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise DomainError(f"unknown identity kind {kind!r}") from None
-    if cusped:
+
+
+def check_point_kind(kind: IdentityKind, k: float):
+    """The row of `kind`; refuses an unknown kind or a mismatched k (cusped kinds need 0)."""
+    row = _row(kind)
+    if row[1]:
         if k != 0.0:
             raise DomainError(f"identity {kind.value} needs a cusped point, got k={k!r}")
     elif k <= 0.0:
         raise DomainError(f"identity {kind.value} needs boundary length k > 0, got k={k!r}")
+    return row
 
 
 def identity_term(kind: IdentityKind, k: float, record: GeodesicRecord) -> float:
     """Contribution of one geodesic record to the identity `kind`."""
-    try:
-        kernel = _IDENTITIES[kind][0]
-    except (KeyError, TypeError):  # TypeError: an unhashable kind
-        raise DomainError(f"unknown identity kind {kind!r}") from None
-    return kernel(k, record.length, record.trace)
+    return _row(kind)[0](k, record.length, record.trace)
 
 
 def tail_estimate(k: float, cutoff: float) -> float:
@@ -417,12 +396,12 @@ def iter_terms(
     between yields.
     """
     k = triple.k
-    check_point_kind(kind, k)
-    kernel = _IDENTITIES[kind][0]
-    add = RunningSum().add
+    kernel = check_point_kind(kind, k)[0]
+    total = compensation = 0.0
     for record in enumerate_geodesics(triple, cutoff, max_records=max_records):
         term = kernel(k, record.length, record.trace)
-        yield record, term, add(term)
+        total, compensation = _neumaier((term,), total, compensation)
+        yield record, term, total + compensation
 
 
 def evaluate(
@@ -439,19 +418,11 @@ def evaluate(
     Four-holed-sphere kinds take the torus point through the two-to-one
     correspondence of interior geodesics: boundary c = k/2 and interior
     length a = 2b for each torus geodesic of length b.
-
-    The cyclic garbage collector is paused from the enumeration until the
-    columns are freed; the caller's collector state is restored on return
-    and on every raise.
     """
     k = triple.k
-    check_point_kind(kind, k)
-    kernel, _, target, reports_c = _IDENTITIES[kind]
-    with _CollectorPause():
-        lengths, traces = spectrum_columns(triple, cutoff, max_records=max_records)
-        term_count = len(lengths)
-        partial = compensated_sum(map(kernel, repeat(k), lengths, traces))
-        del lengths, traces
+    kernel, _, target, reports_c = check_point_kind(kind, k)
+    lengths, traces = spectrum_columns(triple, cutoff, max_records=max_records)
+    partial = compensated_sum(map(kernel, repeat(k), lengths, traces))
     parameters = triple._asdict()
     if reports_c:
         parameters["c"] = 0.5 * k
@@ -459,7 +430,7 @@ def evaluate(
         kind=kind,
         parameters=parameters,
         cutoff=cutoff,
-        term_count=term_count,
+        term_count=len(lengths),
         partial_sum=partial,
         target=target,
         defect=target - partial,

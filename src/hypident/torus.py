@@ -158,8 +158,15 @@ def from_traces(x: float, y: float, k: float) -> TraceTriple:
 
 
 def _crossing_scale(b, k):
-    # p > 1 in the matrix recipe; p^2 - 1 = (cosh(k/2) + 1) / (2 sinh^2(b/2))
+    # p > 1 in the matrix recipe; p^2 - 1 = (cosh(k/2) + 1) / (2 sinh^2(b/2));
+    # ZeroDivisionError once sinh(b/2) rounds to 0, inf once it is below ~5.6e-309
     return sqrt((cosh(b) + cosh(0.5 * k)) / 2.0) / sinh(0.5 * b)
+
+
+def _beyond_float_range(fn):
+    return DomainError(
+        f"cosh overflows at b={fn.b!r}, t={fn.t!r}, k={fn.k!r}: traces beyond the float range"
+    )
 
 
 def from_fenchel_nielsen(fn: FenchelNielsen) -> TraceTriple:
@@ -169,23 +176,25 @@ def from_fenchel_nielsen(fn: FenchelNielsen) -> TraceTriple:
         x = 2.0 * cosh(0.5 * fn.b)
         y = 2.0 * p * cosh(0.5 * fn.t)
         z = 2.0 * p * cosh(0.5 * (fn.t + fn.b))
-        if math.isinf(max(y, z)):  # a product overflows without OverflowError
+        if math.isinf(max(y, z)):  # p = inf, or a product overflows without OverflowError
             raise OverflowError
-    except OverflowError:
-        raise DomainError(
-            f"cosh overflows at b={fn.b!r}, t={fn.t!r}, k={fn.k!r}:"
-            " traces beyond the float range"
-        ) from None
+    except (OverflowError, ZeroDivisionError):
+        raise _beyond_float_range(fn) from None
     return trace_triple(x, y, z)._replace(k=fn.k)
 
 
 def fenchel_nielsen_matrices(fn: FenchelNielsen):
     """Explicit unit-determinant matrices (A, B) realizing (b, t, k)."""
-    p = _crossing_scale(fn.b, fn.k)
-    q = sqrt(p * p - 1.0)
-    et = exp(0.5 * fn.t)
-    a = ((exp(0.5 * fn.b), 0.0), (0.0, exp(-0.5 * fn.b)))
-    b = ((p * et, q / et), (q * et, p / et))
+    try:
+        p = _crossing_scale(fn.b, fn.k)
+        q = sqrt(p * p - 1.0)
+        et = exp(0.5 * fn.t)
+        a = ((exp(0.5 * fn.b), 0.0), (0.0, exp(-0.5 * fn.b)))
+        b = ((p * et, q / et), (q * et, p / et))
+        if math.isinf(max(b[0] + b[1])):  # as in `from_fenchel_nielsen`
+            raise OverflowError
+    except (OverflowError, ZeroDivisionError):
+        raise _beyond_float_range(fn) from None
     return a, b
 
 

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import subprocess
@@ -291,6 +292,44 @@ def test_import_skips_dataclasses():
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
+def _imports(tree):
+    # (alias line, bound name, imported name, whether from a sibling module)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                yield alias.lineno, name, alias.name, False
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.lineno, alias.asname or alias.name, alias.name, node.level > 0
+
+
+def test_package_imports_are_public_and_used():
+    # no module reaches into a sibling's private names, and every imported
+    # name is read or re-exported; an alias kept on purpose says `# noqa: F401`
+    modules = sorted((SRC / "hypident").glob("*.py"))
+    assert modules
+    for path in modules:
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+        for lineno, name, imported, sibling in _imports(tree):
+            where = f"{path.name}:{lineno} {imported}"
+            assert not (sibling and imported.startswith("_")), f"{where}: private name of a sibling"
+            assert name in read or name in exported or "# noqa: F401" in lines[lineno - 1], (
+                f"{where}: imported but never read"
+            )
+
+
 def test_out_of_range_traces_exit_two():
     # kappa or a trace beyond the float range: typed refusal, not a traceback or a NaN surface
     for argv, diagnostic in (
@@ -301,6 +340,12 @@ def test_out_of_range_traces_exit_two():
         (["verify", "--identity", "thm12", "--fn", "711,0,0", "--cutoff", "5"],
          "error: cosh overflows"),
         (["verify", "--identity", "thm12", "--fn", "1,1419.5,0", "--cutoff", "5"],
+         "error: cosh overflows"),
+        # sinh(b/2) rounds to 0 at a subnormal b
+        (["verify", "--identity", "thm11", "--fn", "5e-324,0,1", "--cutoff", "5"],
+         "error: cosh overflows"),
+        (["sweep", "--vary", "b=5e-324:5e-324:1", "--fn", "_,0,0", "--identity", "mcshane",
+          "--cutoff", "5"],
          "error: cosh overflows"),
     ):
         code, out, err = invoke(argv)

@@ -628,19 +628,6 @@ def test_evaluate_restores_the_collector_state(enabled, monkeypatch):
         gc.enable()
 
 
-def test_evaluate_pauses_the_collector_through_the_sum(monkeypatch):
-    seen = []
-
-    def spy(b):
-        seen.append(gc.isenabled())
-        return term_mcshane(b)
-
-    monkeypatch.setattr(identities, "term_mcshane", spy)
-    evaluate(IdentityKind.MCSHANE, MODULAR, 6.0)
-    assert seen and not any(seen)
-    assert gc.isenabled()
-
-
 def test_iter_terms_holds_no_pause_across_a_yield():
     terms = iter_terms(IdentityKind.THM12, MODULAR, 10.0)
     next(terms)

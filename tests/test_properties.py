@@ -18,7 +18,7 @@ from hypident import (
     identity_term,
     iter_terms,
 )
-from hypident.identities import RunningSum, check_point_kind
+from hypident.identities import _neumaier, check_point_kind
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
@@ -53,10 +53,12 @@ def test_orthogeodesic_kinds_match_thm11(log_k, log_b):
 @example([-0.0])
 @example([])
 def test_compensated_sum_is_the_last_running_sum(values):
-    # one Neumaier update serves both: they agree bit for bit, signed zeros included
-    running, last = RunningSum(), 0.0
+    # one Neumaier update serves both the sum and iter_terms' one-element
+    # steps: they agree bit for bit, signed zeros included
+    total = compensation = last = 0.0
     for value in values:
-        last = running.add(value)
+        total, compensation = _neumaier((value,), total, compensation)
+        last = total + compensation
     assert compensated_sum(values).hex() == last.hex()
 
 

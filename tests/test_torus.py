@@ -77,18 +77,27 @@ def test_kappa_beyond_float_range_is_refused():
 
 def test_fenchel_nielsen_beyond_float_range_is_refused():
     # cosh overflows in the crossing scale (b, k) or in the y and z traces (t + b);
-    # or cosh(t/2) is finite and the product 2p cosh(t/2) overflows to inf
-    for fn in (
+    # or cosh(t/2) is finite and the product 2p cosh(t/2) overflows to inf; or
+    # sinh(b/2) is subnormal (p = inf) or rounds to 0 (a division by zero)
+    overflowing_matrices = (
         FenchelNielsen(711.0, 0.0, 0.0),
         FenchelNielsen(1.0, 1500.0, 0.0),
-        FenchelNielsen(700.0, 800.0, 0.0),
         FenchelNielsen(1.0, 0.0, 1500.0),
         FenchelNielsen(1.0, 1419.5, 0.0),
         FenchelNielsen(1.0, 1419.0, 0.0),
         FenchelNielsen(0.001, 1418.0, 0.0),
-    ):
+        FenchelNielsen(1e-323, 0.0, 1.0),
+        FenchelNielsen(5e-324, 0.0, 1.0),
+        FenchelNielsen(5e-324, 0.0, 0.0),
+    )
+    # only the trace z = 2p cosh((t+b)/2) overflows here; the matrices are finite
+    for fn in overflowing_matrices + (FenchelNielsen(700.0, 800.0, 0.0),):
         with pytest.raises(DomainError, match="beyond the float range"):
             from_fenchel_nielsen(fn)
+    # the matrices refuse the same way where an entry overflows, not with inf entries
+    for fn in overflowing_matrices:
+        with pytest.raises(DomainError, match="beyond the float range"):
+            fenchel_nielsen_matrices(fn)
 
 
 def test_positive_kappa_near_the_float_range_is_not_snapped_to_the_cusp():
