@@ -36,12 +36,22 @@ infinite trace in an unvalidated root) fails both tests, so its child is
 kept, with its subtree, and ends in a typed refusal instead of silently
 losing a subtree.
 
-The walk emits into two lists, slopes and traces, in emission order.
-After it, one set over the slopes checks that no slope was emitted twice.
-`enumerate_geodesics` then turns the traces into lengths, builds the
+The walk emits into two lists, in emission order: the traces, one float
+per record, and the slopes as *stretches*.  A stretch (p, q, bp, bq, n)
+stands for the n slopes (p, q) + i (bp, bq), i < n, whose traces are the
+next n traces; each root is a stretch of length 1 with step (0, 0).
+Queue entries and twist runs hold a and b as integers, and the emissions
+of a run extend one stretch with step b; the run's traces are convex, so
+a gap, which would close the stretch and open another, is not expected.
+No slope is built in the walk: the vectors of a child are formed only
+when it is queued or refused.  After the walk, an integer key checks
+that no slope was emitted twice: (p, q) -> q m + p, with m - 1 twice the
+largest |p0| + (n - 1)|bp| of a stretch, is one to one, and the keys of
+a stretch are one `range`.  `enumerate_geodesics` then expands the
+stretches into `Slope` tuples, turns the traces into lengths, builds the
 records in bulk, and sorts them by (trace, slope), and so by length;
-`spectrum_columns` drops the slopes and sorts the traces as plain floats,
-into the same order of lengths and traces.
+`spectrum_columns` builds no slope, and sorts the traces as plain
+floats, into the same order of lengths and traces.
 
 Slope arithmetic is exact (Python integers); traces are binary64.
 
@@ -55,6 +65,7 @@ import gc
 import math
 from collections import deque
 from functools import partial
+from itertools import chain, count, islice
 from math import acosh, cosh, gcd
 from operator import attrgetter
 from typing import NamedTuple
@@ -169,8 +180,7 @@ def _record_limit(max_records, length_cutoff):
     )
 
 
-def _non_hyperbolic_child(a, b, trace):
-    p, q = a[0] + b[0], a[1] + b[1]
+def _non_hyperbolic_child(p, q, trace):
     return NonHyperbolicError(
         f"trace of slope {p}/{q} must exceed 2, got {trace!r}: not a hyperbolic structure"
     )
@@ -199,8 +209,28 @@ def _lengths(traces):
     return [2.0 * acosh(0.5 * t) for t in traces]
 
 
+def _assert_distinct(stretches, total):
+    """Assert that the `total` slopes of `stretches` are distinct."""
+    # (p, q) -> q m + p is one to one for q >= 0 and |p| < m/2; along a
+    # stretch |p| <= |p0| + (n - 1)|bp|, and the keys form a range
+    m = 1 + 2 * max((abs(p) + (n - 1) * abs(bp) for p, _, bp, _, n in stretches), default=0)
+    seen = set()
+    for p, q, bp, bq, n in stretches:
+        key = q * m + p
+        if n == 1:
+            seen.add(key)
+        else:  # a stretch without a step repeats one slope
+            step = bq * m + bp
+            seen.update(range(key, key + n * step, step) if step else (key,))
+    assert len(seen) == total, "a slope was enumerated twice"
+
+
 def _walk(triple, length_cutoff, reduce, max_records):
-    """The slopes and traces within the cutoff, in emission order (see the module doc)."""
+    """The stretches and traces within the cutoff, in emission order.
+
+    Stretch i covers the next n_i traces (see the module docstring); the
+    stretches hold as many slopes as there are traces, all distinct.
+    """
     if not (math.isfinite(length_cutoff) and length_cutoff > 0.0):
         raise DomainError(f"length cutoff must be positive, got {length_cutoff!r}")
     if length_cutoff > _MAX_CUTOFF:
@@ -212,48 +242,58 @@ def _walk(triple, length_cutoff, reduce, max_records):
     x0, y0, z0 = root.x, root.y, root.z
     trace_cutoff = 2.0 * cosh(0.5 * length_cutoff)
 
-    # slopes[i] has trace traces[i]
-    slopes, traces = [], []
+    # the stretches, in order, hold the slopes of the traces, in order
+    stretches, traces = [], []
     for p, q, t in ((0, 1, x0), (1, 0, y0)):
         if not t > trace_cutoff:
-            slopes.append(Slope(p, q))
+            stretches.append((p, q, 0, 0, 1))
             traces.append(t)
-    if len(slopes) > max_records:
+    if len(traces) > max_records:
         raise _record_limit(max_records, length_cutoff)
-    emit_slope, emit_trace = slopes.append, traces.append
-    queue = deque((((0, 1), (1, 0), x0, y0, z0), ((0, 1), (-1, 0), x0, y0, x0 * y0 - z0)))
+    emit = traces.append
+    # (ap, aq, bp, bq, ta, tb, t): the triangle that keeps a and b and adds a + b
+    queue = deque(((0, 1, 1, 0, x0, y0, z0), (0, 1, -1, 0, x0, y0, x0 * y0 - z0)))
     while queue:
-        a, b, ta, tb, t = queue.popleft()
-        bp, bq = b  # the twist run keeps b
-        # follow the twist run that keeps b inline; queue the children that keep a
+        ap, aq, bp, bq, ta, tb, t = queue.popleft()
+        # the twist run that keeps b: step n adds a + n b, trace t, to the kept
+        # u = a + (n - 1) b, trace ta; the open stretch is the steps start <= i < end
+        n = 1
+        start = end = 0
         while True:
-            # the walk forms only canonical, primitive vectors: skip the check
-            v = _make_slope((a[0] + bp, a[1] + bq))
             # `not t > cutoff` keeps a NaN trace (see the module docstring)
             if not t > trace_cutoff:
-                emit_slope(v)
-                emit_trace(t)
-                if len(slopes) > max_records:
+                emit(t)
+                if len(traces) > max_records:
                     raise _record_limit(max_records, length_cutoff)
+                if n != end:  # a gap, or the first emission of the run
+                    if start:
+                        stretch = (ap + start * bp, aq + start * bq, bp, bq, end - start)
+                        stretches.append(stretch)
+                    start = n
+                end = n + 1
             # a NaN compares false in both prune tests, so its subtree is kept, not lost
             c = ta * t - tb
             if not (c > trace_cutoff and c >= ta and c >= t):
+                up, uq = ap + (n - 1) * bp, aq + (n - 1) * bq
                 if c <= 2.0:
-                    raise _non_hyperbolic_child(a, v, c)
-                queue.append((a, v, ta, t, c))
+                    raise _non_hyperbolic_child(2 * up + bp, 2 * uq + bq, c)
+                queue.append((up, uq, up + bp, uq + bq, ta, t, c))
             c = t * tb - ta
             if c > trace_cutoff and c >= t and c >= tb:
                 break
+            n += 1
             if c <= 2.0:
-                raise _non_hyperbolic_child(v, b, c)
-            a, ta, t = v, t, c
+                raise _non_hyperbolic_child(ap + n * bp, aq + n * bq, c)
+            ta, t = t, c
+        if start:
+            stretches.append((ap + start * bp, aq + start * bq, bp, bq, end - start))
 
-    assert len(set(slopes)) == len(slopes), "a slope was enumerated twice"
+    _assert_distinct(stretches, len(traces))
     # emitted traces are never +inf, so `2 < t` fails exactly where
     # `length_from_trace` refuses: let it raise its own message
     if not all(map((2.0).__lt__, traces)):
         length_from_trace(next(t for t in traces if not 2.0 < t))
-    return slopes, traces
+    return stretches, traces
 
 
 def enumerate_geodesics(
@@ -282,7 +322,9 @@ def enumerate_geodesics(
     before it is followed or queued (see the module docstring).  Emission
     is therefore not breadth-first, but every node is visited once with
     the same float expressions, so the sorted records are those of a
-    breadth-first walk, bit for bit.  A kept child trace <= 2 raises
+    breadth-first walk, bit for bit.  The walk gives the slopes as
+    stretches; they are expanded into `Slope` tuples here, in C, beside
+    the traces and lengths.  A kept child trace <= 2 raises
     `NonHyperbolicError` where it is formed; a NaN trace is kept and ends
     in `NonHyperbolicError` or, as its subtree stays NaN, in
     `ResourceLimitError` at `max_records`.  A cutoff outside (0, 1419] is
@@ -292,9 +334,12 @@ def enumerate_geodesics(
     the caller's collector state is restored on return and on every raise.
     """
     with _CollectorPause():
-        slopes, traces = _walk(triple, length_cutoff, reduce, max_records)
+        stretches, traces = _walk(triple, length_cutoff, reduce, max_records)
+        runs = (islice(zip(count(p, bp), count(q, bq)), n) for p, q, bp, bq, n in stretches)
+        # the walk forms only canonical, primitive vectors: skip the check
+        slopes = map(_make_slope, chain.from_iterable(runs))
         records = list(map(_make_record, zip(slopes, traces, _lengths(traces))))
-        del slopes, traces  # the records hold every slope and float
+        del stretches, traces  # the records hold every slope and float
         records.sort(key=attrgetter("trace", "slope"))
         return records
 
@@ -307,11 +352,12 @@ def spectrum_columns(
 ):
     """The length and trace columns of `enumerate_geodesics(triple, length_cutoff)`.
 
-    The same walk, refusals and collector pause, but no record is built:
-    the slopes are dropped and the traces sorted as plain floats.
+    The same walk, refusals and collector pause, but no record and no
+    slope is built: the stretches are dropped and the traces sorted as
+    plain floats.
     """
     with _CollectorPause():
-        traces = _walk(triple, length_cutoff, True, max_records)[1]  # frees the slopes
+        traces = _walk(triple, length_cutoff, True, max_records)[1]  # frees the stretches
         traces.sort()
         return _lengths(traces), traces
 

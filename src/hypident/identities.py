@@ -322,12 +322,21 @@ def torus_contribution_partial(k: float, records) -> float:
     return 4.0 * pi * pi - compensated_sum(term(record.length) for record in records)
 
 
+# these three take the limit 0 before t * t or the pants trigonometry can overflow
+def _thm15_term(_k, b, t):
+    return 0.0 if b > _LIMIT_LENGTH else term_trace_squared(t * t)
+
+
 def _thm31_term(k, b, _trace):
+    if b > _LIMIT_LENGTH:
+        return 0.0
     ortho = torus_ortho(k, b)
     return term_ortho_torus(k, ortho.m, ortho.q)
 
 
 def _four_term(k, b, _trace):
+    if b > _LIMIT_LENGTH:
+        return 0.0
     ortho = foursphere_ortho(0.5 * k, 2.0 * b)
     return term_ortho_torus(k, ortho.m, ortho.p)
 
@@ -339,7 +348,7 @@ def _four_term(k, b, _trace):
 _IDENTITIES = {
     IdentityKind.THM11: (lambda k, b, t: term_one_holed(k, b), False, PI2_2, False),
     IdentityKind.THM12: (lambda k, b, t: term_cusped(b), True, PI2_2, False),
-    IdentityKind.THM15: (lambda k, b, t: term_trace_squared(t * t), True, PI2_2, False),
+    IdentityKind.THM15: (_thm15_term, True, PI2_2, False),
     IdentityKind.THM31: (_thm31_term, False, PI2_2, False),
     IdentityKind.FOUR: (_four_term, False, PI2_2, True),
     IdentityKind.FOUR_SIMPLE: (lambda k, b, t: term_one_holed(k, b), False, PI2_2, True),

@@ -41,7 +41,9 @@ sinh(p/2) and sinh(q/2), since acosh of a ratio near 1 cancels.
 
 Degenerate boundary lengths (below 1e-12) are rejected rather than extended
 by limits; cusps enter the library only through the dedicated cusped term
-functions in `identities`.
+functions in `identities`.  Lengths whose trigonometry overflows the float
+range (a cosh, or a product of them, past ~1.8e308) are refused with
+`DomainError` as well, rather than returned as inf or NaN.
 """
 
 import math
@@ -66,6 +68,12 @@ MIN_LENGTH = 1e-12
 def _check_length(name, value):
     if not math.isfinite(value) or value < MIN_LENGTH:
         raise DomainError(f"{name} must be a positive length >= {MIN_LENGTH}, got {value!r}")
+
+
+def _out_of_range(a1, a2, a3):
+    return DomainError(
+        f"the orthogeodesics of the pants ({a1!r}, {a2!r}, {a3!r}) overflow the float range"
+    )
 
 
 class PantsGeometry(NamedTuple):
@@ -107,14 +115,20 @@ def pants_geometry(a1: float, a2: float, a3: float) -> PantsGeometry:
     _check_length("a1", a1)
     _check_length("a2", a2)
     _check_length("a3", a3)
-    m1 = _seam(a1, a2, a3)
-    m2 = _seam(a2, a3, a1)
-    m3 = _seam(a3, a1, a2)
-    u, v, w = cosh(0.5 * a1), cosh(0.5 * a2), cosh(0.5 * a3)
-    root = sqrt(u * u + v * v + w * w + 2.0 * u * v * w - 1.0)
-    d1 = 2.0 * acosh(root / sinh(0.5 * a1))
-    d2 = 2.0 * acosh(root / sinh(0.5 * a2))
-    d3 = 2.0 * acosh(root / sinh(0.5 * a3))
+    try:
+        m1 = _seam(a1, a2, a3)
+        m2 = _seam(a2, a3, a1)
+        m3 = _seam(a3, a1, a2)
+        u, v, w = cosh(0.5 * a1), cosh(0.5 * a2), cosh(0.5 * a3)
+        root = sqrt(u * u + v * v + w * w + 2.0 * u * v * w - 1.0)
+        d1 = 2.0 * acosh(root / sinh(0.5 * a1))
+        d2 = 2.0 * acosh(root / sinh(0.5 * a2))
+        d3 = 2.0 * acosh(root / sinh(0.5 * a3))
+    except OverflowError:
+        raise _out_of_range(a1, a2, a3) from None
+    # an overflowing product is inf, with no OverflowError, and inf / inf a NaN
+    if not math.isfinite(m1 + m2 + m3 + d1 + d2 + d3):
+        raise _out_of_range(a1, a2, a3)
     return PantsGeometry(a1, a2, a3, m1, m2, m3, d1, d2, d3)
 
 
@@ -128,12 +142,17 @@ def foursphere_ortho(c: float, a: float) -> Orthogeodesics:
     """
     _check_length("c", c)
     _check_length("a", a)
-    ch_c2, ch_a2 = cosh(0.5 * c), cosh(0.5 * a)
-    m = acosh(ch_c2 * (1.0 + ch_a2) / (sinh(0.5 * c) * sinh(0.5 * a)))
-    # tanh^2(p/2) = (cosh c + 1)/(cosh c + cosh(a/2)), rearranged as
-    # sinh(p/2) = cosh(c/2)/sinh(a/4): nothing cancels
-    p = 2.0 * asinh(ch_c2 / sinh(0.25 * a))
-    q = acosh((ch_a2 + ch_c2 * ch_c2) / (sinh(0.5 * c) ** 2))
+    try:
+        ch_c2, ch_a2 = cosh(0.5 * c), cosh(0.5 * a)
+        m = acosh(ch_c2 * (1.0 + ch_a2) / (sinh(0.5 * c) * sinh(0.5 * a)))
+        # tanh^2(p/2) = (cosh c + 1)/(cosh c + cosh(a/2)), rearranged as
+        # sinh(p/2) = cosh(c/2)/sinh(a/4): nothing cancels
+        p = 2.0 * asinh(ch_c2 / sinh(0.25 * a))
+        q = acosh((ch_a2 + ch_c2 * ch_c2) / (sinh(0.5 * c) ** 2))
+    except OverflowError:
+        raise _out_of_range(c, c, a) from None
+    if not math.isfinite(m + p + q):  # as in `pants_geometry`
+        raise _out_of_range(c, c, a)
     return Orthogeodesics(m, p, q)
 
 
@@ -147,13 +166,18 @@ def torus_ortho(k: float, b: float) -> Orthogeodesics:
     """
     _check_length("k", k)
     _check_length("b", b)
-    ch_k2, ch_b2 = cosh(0.5 * k), cosh(0.5 * b)
-    m = acosh(ch_b2 * (1.0 + ch_k2) / (sinh(0.5 * k) * sinh(0.5 * b)))
-    # cosh^2(p/2) = (cosh(k/2) + 1)(cosh(k/2) + cosh b) / sinh^2(k/2)
-    p = 2.0 * acosh(sqrt((ch_k2 + 1.0) * (ch_k2 + cosh(b))) / sinh(0.5 * k))
-    # tanh^2(q/2) = (cosh(k/2) + 1)/(cosh(k/2) + cosh b), rearranged as for
-    # the four-holed sphere: sinh(q/2) = cosh(k/4)/sinh(b/2)
-    q = 2.0 * asinh(cosh(0.25 * k) / sinh(0.5 * b))
+    try:
+        ch_k2, ch_b2 = cosh(0.5 * k), cosh(0.5 * b)
+        m = acosh(ch_b2 * (1.0 + ch_k2) / (sinh(0.5 * k) * sinh(0.5 * b)))
+        # cosh^2(p/2) = (cosh(k/2) + 1)(cosh(k/2) + cosh b) / sinh^2(k/2)
+        p = 2.0 * acosh(sqrt((ch_k2 + 1.0) * (ch_k2 + cosh(b))) / sinh(0.5 * k))
+        # tanh^2(q/2) = (cosh(k/2) + 1)/(cosh(k/2) + cosh b), rearranged as for
+        # the four-holed sphere: sinh(q/2) = cosh(k/4)/sinh(b/2)
+        q = 2.0 * asinh(cosh(0.25 * k) / sinh(0.5 * b))
+    except OverflowError:
+        raise _out_of_range(k, b, b) from None
+    if not math.isfinite(m + p + q):  # as in `pants_geometry`
+        raise _out_of_range(k, b, b)
     return Orthogeodesics(m, p, q)
 
 

@@ -1,10 +1,13 @@
 """Shared independent oracles for the test suite.
 
 These stay deliberately separate from the library code paths they check:
-the dilogarithm oracle uses mpmath at 40 digits, and the seam oracle places
-explicit hyperbolic matrices and bisects on the resulting boundary trace.
+the dilogarithm oracle uses mpmath at 40 digits, the seam oracle places
+explicit hyperbolic matrices and bisects on the resulting boundary trace,
+and the reference walk visits the Markov tree one node at a time, without
+the twist runs and stretches of `curves`.
 """
 
+from collections import deque
 from math import cosh, exp, sinh
 
 import mpmath
@@ -81,3 +84,25 @@ def seam_oracle(l1, l2, l3):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def reference_walk(root, length_cutoff):
+    """(slope, trace) of every node within the cutoff, walked breadth first from `root`.
+
+    One emission per node, with the root marking, the float expressions and
+    the prune test that the `curves` module docstring states.
+    """
+    x, y, z = root.x, root.y, root.z
+    cutoff = 2.0 * cosh(0.5 * length_cutoff)
+    found = [(slope, t) for slope, t in (((0, 1), x), ((1, 0), y)) if not t > cutoff]
+    queue = deque([((0, 1), (1, 0), x, y, z), ((0, 1), (-1, 0), x, y, x * y - z)])
+    while queue:
+        a, b, ta, tb, t = queue.popleft()
+        v = (a[0] + b[0], a[1] + b[1])
+        if not t > cutoff:
+            found.append((v, t))
+        for child in ((a, v, ta, t, ta * t - tb), (v, b, t, tb, t * tb - ta)):
+            c, kept = child[4], child[2:4]
+            if not (c > cutoff and c >= kept[0] and c >= kept[1]):
+                queue.append(child)
+    return found

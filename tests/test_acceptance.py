@@ -187,7 +187,9 @@ def test_criterion_10_quasi_pants_reformulation():
         records = enumerate_geodesics(triple, 20.0)
         direct = compensated_sum(quasi_pants_term(triple.k, r.length) for r in records)
         partial = torus_contribution_partial(triple.k, records)
-        worst_gap = max(worst_gap, abs(direct - partial))
+        # direct - partial = -8 defect(thm31) over any truncation
+        defect = evaluate(IdentityKind.THM31, triple, 20.0).defect
+        worst_gap = max(worst_gap, abs(direct - partial + 8.0 * defect))
     worst_sym = 0.0
     import itertools
 
@@ -195,5 +197,5 @@ def test_criterion_10_quasi_pants_reformulation():
     base = pants_sum_term(*lengths)
     for perm in itertools.permutations(lengths):
         worst_sym = max(worst_sym, abs(pants_sum_term(*perm) - base))
-    _report(10, "torus contribution vs quasi-pants sum", worst_gap, 1e-4)
+    _report(10, "torus contribution vs quasi-pants sum less 8 defects", worst_gap, 1e-13)
     _report(10, "embedded-pants bracket permutation symmetry", worst_sym, 1e-12)

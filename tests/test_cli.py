@@ -46,6 +46,16 @@ def test_verify_fails_on_tight_tolerance():
     assert json.loads(out)["term_count"] > 0
 
 
+def test_verify_past_the_overflow_of_trace_squared():
+    # at cutoff 712 the longest traces square past the float range: thm15
+    # takes the limit 0 there, as every other kind does
+    code, out, err = invoke(
+        ["verify", "--identity", "thm15", "--traces", "3,3,3", "--cutoff", "712"]
+    )
+    assert code == 0, err
+    assert json.loads(out)["term_count"] > 0
+
+
 def test_verify_with_fenchel_nielsen_point():
     code, out, err = invoke(
         ["verify", "--identity", "thm11", "--fn", "1.2,0.4,1.5", "--cutoff", "25",

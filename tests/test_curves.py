@@ -1,5 +1,6 @@
 import gc
 import random
+from collections import Counter
 from fractions import Fraction
 from math import acosh, cosh, gcd, inf, nan, sinh, sqrt
 
@@ -22,6 +23,7 @@ from hypident import (
     trace_triple,
 )
 from hypident import curves
+from helpers import reference_walk
 
 # FN(8, 0, 0) with y one ulp lower: at cutoff 20, 11 adjacent pairs of equal
 # length have unequal traces, and in 7 of them rational and trace order disagree
@@ -221,6 +223,57 @@ def test_twist_family_matches_closed_form(b, t, k, cutoff):
     for r in family:
         closed = 2.0 * s * cosh(0.5 * (t + r.slope.p * r.slope.q * b))
         assert abs(r.trace - closed) <= 1e-10 * closed, r.slope
+
+
+@pytest.mark.parametrize(
+    "triple, cutoff, reduce",
+    [
+        (trace_triple(3.0, 3.0, 3.0), 25.0, True),
+        (from_fenchel_nielsen(FenchelNielsen(8.0, 0.0, 0.0)), 20.0, True),
+        (from_fenchel_nielsen(FenchelNielsen(1.2, 0.4, 1.5)), 30.0, True),
+        # unreduced, each with a twist run whose first steps lie past the
+        # cutoff and a later one within it: that run's stretch opens late
+        (from_fenchel_nielsen(
+            FenchelNielsen(15.679354444143703, -0.9572845999289541, 0.001961333874452323)
+        ), 12.0, False),
+        (from_fenchel_nielsen(
+            FenchelNielsen(19.945105989489377, 21.05562294421658, 0.005273220096893411)
+        ), 12.0, False),
+    ],
+)
+def test_walk_matches_a_plain_breadth_first_walk(triple, cutoff, reduce):
+    root = reduce_to_minimal(triple) if reduce else triple
+    expected = Counter((slope, t.hex()) for slope, t in reference_walk(root, cutoff))
+    records = enumerate_geodesics(triple, cutoff, reduce=reduce)
+    assert Counter(((r.slope.p, r.slope.q), r.trace.hex()) for r in records) == expected
+
+
+def test_overlapping_stretches_trip_the_duplicate_check():
+    # (p, q, bp, bq, n) is the slopes (p, q) + i (bp, bq), i < n
+    disjoint = [(0, 1, 0, 0, 1), (1, 0, 0, 0, 1), (1, 1, 1, 0, 3), (-1, 1, -1, 0, 2)]
+    curves._assert_distinct(disjoint, 7)
+    for repeated in (
+        [(0, 1, 1, 1, 3), (2, 3, 1, 1, 2)],  # 2/3 twice
+        [(1, 2, -1, 1, 3), (-1, 4, -1, 1, 1)],  # -1/4 twice
+        [(1, 1, 0, 0, 2)],  # no step: 1/1 twice
+    ):
+        count = sum(stretch[4] for stretch in repeated)
+        with pytest.raises(AssertionError, match="a slope was enumerated twice"):
+            curves._assert_distinct(repeated, count)
+
+
+def test_spectrum_columns_builds_no_slope(monkeypatch):
+    triple = from_fenchel_nielsen(FenchelNielsen(8.0, 0.0, 0.0))
+    expected = spectrum_columns(triple, 20.0)
+
+    def refuse(*args):
+        raise AssertionError("a slope was built")
+
+    monkeypatch.setattr(curves, "_make_slope", refuse)
+    monkeypatch.setattr(curves, "Slope", refuse)
+    assert spectrum_columns(triple, 20.0) == expected
+    with pytest.raises(AssertionError, match="a slope was built"):
+        enumerate_geodesics(triple, 20.0)
 
 
 def test_enumerate_refuses_a_child_trace_at_most_2():

@@ -216,6 +216,18 @@ def test_identity_term_dispatches_to_each_kernel():
         assert identity_term(kind, k, record) == term, kind
 
 
+def test_every_kind_takes_the_limit_past_length_700():
+    # past b = 700 every bracket is below 1e-300; thm15 would square a trace
+    # near 1e308 there, and thm31 and four would build pants whose cosh overflows
+    cusped = {IdentityKind.THM12, IdentityKind.THM15, IdentityKind.FOUR_CUSPED,
+              IdentityKind.MCSHANE}
+    for b in (700.5, 709.9, 1419.0):
+        record = GeodesicRecord(None, 2.0 * cosh(0.5 * b), b)
+        for kind in IdentityKind:
+            k = 0.0 if kind in cusped else 1.0
+            assert identity_term(kind, k, record) == 0.0, (kind, b)
+
+
 def test_identity_term_refuses_unknown_kind():
     record = GeodesicRecord(None, 2.0 * cosh(1.0), 2.0)
     for kind in ("thm11", None, ["thm11"]):
@@ -362,12 +374,20 @@ def test_pants_sum_term_two_forms_agree():
 
 
 def test_quasi_pants_sum_matches_partial_form():
-    fn = FenchelNielsen(1.2, 0.4, 1.5)
-    triple = from_fenchel_nielsen(fn)
-    records = enumerate_geodesics(triple, 20.0)
-    direct = compensated_sum(quasi_pants_term(triple.k, r.length) for r in records)
-    partial = torus_contribution_partial(triple.k, records)
-    assert abs(direct - partial) <= 1e-4
+    # a quasi-pants term plus its complement term is 8 thm31 brackets, so over
+    # any truncation direct - partial = 8 sum(thm31) - 4 pi^2 = -8 defect(thm31)
+    for fn, cutoff in (
+        (FenchelNielsen(1.2, 0.4, 1.5), 8.0),
+        (FenchelNielsen(1.2, 0.4, 1.5), 20.0),
+        (FenchelNielsen(2.0, 0.7, 0.5), 15.0),
+        (FenchelNielsen(0.8, 0.1, 3.0), 12.0),
+    ):
+        triple = from_fenchel_nielsen(fn)
+        records = enumerate_geodesics(triple, cutoff)
+        direct = compensated_sum(quasi_pants_term(triple.k, r.length) for r in records)
+        partial = torus_contribution_partial(triple.k, records)
+        defect = evaluate(IdentityKind.THM31, triple, cutoff).defect
+        assert abs(direct - partial + 8.0 * defect) <= 1e-13, (fn, cutoff)
 
 
 def test_quasi_pants_guards():

@@ -9,6 +9,7 @@ from hypident import (
     foursphere_ortho,
     guard_threshold,
     pants_geometry,
+    quasi_pants_term,
     torus_ortho,
 )
 from helpers import seam_oracle
@@ -187,3 +188,20 @@ def test_ortho_rejects_nonpositive():
         foursphere_ortho(0.0, 1.0)
     with pytest.raises(DomainError):
         torus_ortho(1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, lengths",
+    [
+        (torus_ortho, (0.5, 710.0)),  # p: a product of cosh overflows to inf
+        (torus_ortho, (0.5, 1e10)),  # cosh itself overflows
+        (foursphere_ortho, (0.5, 1e10)),
+        (foursphere_ortho, (60.0, 1400.0)),  # m: inf / inf
+        (pants_geometry, (0.5, 0.5, 1e10)),
+        (pants_geometry, (700.0, 700.0, 700.0)),  # d: a product overflows
+        (quasi_pants_term, (0.5, 1e10)),
+    ],
+)
+def test_overflowing_trigonometry_is_refused(call, lengths):
+    with pytest.raises(DomainError, match="overflow the float range"):
+        call(*lengths)
