@@ -57,8 +57,8 @@ Neumaier (compensated) update, so the result is deterministic,
 order-dependence stays below 1e-14, and both give the same sum bit for bit
 (equal traces give equal terms).  `iter_terms` yields each record with its
 term and the running sum (the CLI's `terms`); `evaluate` sums the sorted
-columns of `spectrum_columns` and builds no record; the collector pause is
-`curves`' own, as only two lists of untracked floats outlive the walk.
+columns of `spectrum_columns` and builds no record, with the collector as
+the caller left it: only two lists of untracked floats outlive the walk.
 """
 
 import enum
@@ -153,6 +153,10 @@ def _bracket(first, second, third):
     return rogers(first) + 2.0 * rogers(second) - 2.0 * rogers(third)
 
 
+def _sech2_half(x):  # sech^2(x/2), or its limit 0 from x = 700 on, before cosh^2 can overflow
+    return 1.0 / cosh(0.5 * x) ** 2 if x < _LIMIT_LENGTH else 0.0
+
+
 def _check_positive(name, value):
     if not math.isfinite(value) or value <= 0.0:
         raise DomainError(f"{name} must be a positive length, got {value!r}")
@@ -205,7 +209,7 @@ def term_ortho_torus(k: float, m: float, q: float) -> float:
     _check_positive("m", m)
     _check_positive("q", q)
     cx = -expm1(-0.5 * k)
-    cy = 1.0 / cosh(0.5 * m) ** 2 if m < _LIMIT_LENGTH else 0.0
+    cy = _sech2_half(m)
     # geometric seams approach equality like e^{-b}, to rounding for long b:
     # hence a relative slack of 2^-46 (64 ulps)
     if cy > cx * (1.0 + 2.0**-46):
@@ -258,7 +262,7 @@ def pants_sum_term(l1: float, l2: float, l3: float) -> float:
     seams = (g.m1, g.m2, g.m3)
     perps = (g.d1, g.d2, g.d3)
     core = sum(
-        rogers(tanh(0.5 * m) ** 2) - rogers(1.0 / cosh(0.5 * d) ** 2)
+        rogers(tanh(0.5 * m) ** 2) - rogers(_sech2_half(d))
         for m, d in zip(seams, perps)
     )
     return 8.0 * (core - _pants_lasso_sum((l1, l2, l3), seams))
@@ -274,7 +278,7 @@ def pants_sum_term_via_complement(l1: float, l2: float, l3: float) -> float:
     seams = (g.m1, g.m2, g.m3)
     perps = (g.d1, g.d2, g.d3)
     core = sum(
-        rogers(1.0 / cosh(0.5 * m) ** 2) + rogers(1.0 / cosh(0.5 * d) ** 2)
+        rogers(_sech2_half(m)) + rogers(_sech2_half(d))
         for m, d in zip(seams, perps)
     )
     return 4.0 * pi * pi - 8.0 * (core + _pants_lasso_sum((l1, l2, l3), seams))
@@ -298,10 +302,12 @@ def quasi_pants_term(k: float, b: float, ortho=None) -> float:
     """
     _check_positive("k", k)
     _check_positive("b", b)
+    if b > _LIMIT_LENGTH:  # before the cut pants, whose cosh can overflow
+        return 0.0
     m, p, q = ortho if ortho is not None else torus_ortho(k, b)
     y = _lasso_guard(b, m)  # before the seam guard of term_ortho_torus
     return 8.0 * (
-        term_ortho_torus(k, m, q) - rogers(1.0 / cosh(0.5 * p) ** 2) - 2.0 * lasso(exp(-b), y)
+        term_ortho_torus(k, m, q) - rogers(_sech2_half(p)) - 2.0 * lasso(exp(-b), y)
     )
 
 
@@ -315,9 +321,11 @@ def torus_contribution_partial(k: float, records) -> float:
     _check_positive("k", k)
 
     def term(b):
+        if b > _LIMIT_LENGTH:  # as in `quasi_pants_term`
+            return 0.0
         m, p, _ = torus_ortho(k, b)
         y = _lasso_guard(b, m)
-        return 8.0 * (2.0 * lasso(exp(-b), y) + rogers(1.0 / cosh(0.5 * p) ** 2))
+        return 8.0 * (2.0 * lasso(exp(-b), y) + rogers(_sech2_half(p)))
 
     return 4.0 * pi * pi - compensated_sum(term(record.length) for record in records)
 

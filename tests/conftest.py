@@ -11,9 +11,10 @@ sys.path.insert(0, os.path.dirname(__file__))
 def collector_left_enabled():
     """Fail a test that leaves the cyclic garbage collector disabled.
 
-    `evaluate` and `enumerate_geodesics` pause the collector; a pause that
-    leaks would otherwise pass unseen, and would change the collector state
-    of every test after it.
+    `enumerate_geodesics`, and through it `iter_terms`, pauses the
+    collector while it builds the records; a pause that leaks would
+    otherwise pass unseen, and would change the collector state of every
+    test after it.
     """
     yield
     if not gc.isenabled():

@@ -315,8 +315,9 @@ def _imports(tree):
 
 
 def test_package_imports_are_public_and_used():
-    # no module reaches into a sibling's private names, and every imported
-    # name is read or re-exported; an alias kept on purpose says `# noqa: F401`
+    # no module reaches into a sibling's private names, every imported name
+    # is read or re-exported (an alias kept on purpose says `# noqa: F401`),
+    # and every private module-level name is read in its own module
     modules = sorted((SRC / "hypident").glob("*.py"))
     assert modules
     for path in modules:
@@ -338,6 +339,19 @@ def test_package_imports_are_public_and_used():
             assert name in read or name in exported or "# noqa: F401" in lines[lineno - 1], (
                 f"{where}: imported but never read"
             )
+        # a module-level `_` function, class or constant serves only its own
+        # module: one that is never read there is dead
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    assert name in read, f"{path.name}:{node.lineno} {name} is never read"
 
 
 def test_out_of_range_traces_exit_two():

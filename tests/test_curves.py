@@ -16,7 +16,6 @@ from hypident import (
     brute_force_trace,
     enumerate_geodesics,
     from_fenchel_nielsen,
-    length_from_trace,
     markov_child,
     reduce_to_minimal,
     spectrum_columns,
@@ -308,23 +307,35 @@ def test_record_pass_refuses_a_bad_trace():
 
 
 def test_collector_is_paused_through_the_record_pass(monkeypatch):
-    # the record pass runs inside the pause, and a raise from it restores the
-    # collector; `spectrum_columns` always reduces, so the reduction is patched out
+    # `enumerate_geodesics` turns traces into lengths inside its pause, and a
+    # raise there restores the collector; `spectrum_columns` does so with
+    # the collector as the caller left it
     seen = []
+    lengths = curves._lengths
 
-    def spy(tr):
+    def spy(traces):
         seen.append(gc.isenabled())
-        return length_from_trace(tr)
+        return lengths(traces)
 
-    monkeypatch.setattr(curves, "length_from_trace", spy)
+    monkeypatch.setattr(curves, "_lengths", spy)
+    enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 10.0)
+    spectrum_columns(trace_triple(3.0, 3.0, 3.0), 10.0)
+    assert seen == [False, True]
+
+    def refuse(traces):
+        raise ArithmeticError("refused inside the pause")
+
+    monkeypatch.setattr(curves, "_lengths", refuse)
+    with pytest.raises(ArithmeticError, match="inside the pause"):
+        enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 10.0)
+    assert gc.isenabled()
+    # the walk refuses a bad trace before the pause, alike for both;
+    # `spectrum_columns` always reduces, so the reduction is patched out
     monkeypatch.setattr(curves, "reduce_to_minimal", lambda triple: triple)
     root = TraceTriple(10.0, 2.0, 10.0, 4.0, 0.0)
-    assert gc.isenabled()
     refused = _refusal(lambda: enumerate_geodesics(root, 4.0))
     assert refused[0] is NonHyperbolicError
     assert _refusal(lambda: spectrum_columns(root, 4.0)) == refused
-    assert seen == [False, False]
-    assert gc.isenabled()
 
 
 def test_collector_is_restored_after_the_record_cap():

@@ -2,7 +2,7 @@ import gc
 import itertools
 import random
 import re
-from math import acosh, cosh, exp, expm1, log, pi, tanh, ulp
+from math import acosh, cosh, exp, expm1, inf, isfinite, log, nan, pi, tanh, ulp
 
 import mpmath
 import pytest
@@ -31,6 +31,7 @@ from hypident import (
     pants_sum_term_via_complement,
     quasi_pants_term,
     rogers,
+    spectrum_columns,
     tail_estimate,
     term_cusped,
     term_foursphere_cusped,
@@ -226,6 +227,35 @@ def test_every_kind_takes_the_limit_past_length_700():
         for kind in IdentityKind:
             k = 0.0 if kind in cusped else 1.0
             assert identity_term(kind, k, record) == 0.0, (kind, b)
+
+
+def test_pants_level_terms_take_the_limit_past_length_700():
+    # as the table kernels do, after the positivity checks: the cut pants
+    # would give L(sech^2(p/2)) an overflowing cosh^2, or cosh itself overflow
+    for b in (700.5, 707.5, 709.5, 1419.0, 1e10):
+        assert quasi_pants_term(0.5, b) == 0.0, b
+        record = GeodesicRecord(None, inf, b)
+        assert torus_contribution_partial(0.5, [record]) == 4.0 * pi * pi, b
+    for b in (0.0, inf, nan):
+        with pytest.raises(DomainError):
+            quasi_pants_term(0.5, b)
+
+
+def test_pants_level_terms_raise_no_bare_overflow():
+    # a short boundary lengthens the perpendiculars: sech^2 of one past
+    # 700 takes its limit 0 instead of overflowing in cosh^2
+    lengths = (1e-12, 1e-6, 0.01, 0.5, 10.0, 300.0, 690.0, 700.0, 705.0, 1e10)
+    pairs = list(itertools.product(lengths, repeat=2))
+    calls = [(quasi_pants_term, (k, b)) for k, b in pairs]
+    calls += [(torus_contribution_partial, (k, [GeodesicRecord(None, inf, b)])) for k, b in pairs]
+    calls += [(pants_sum_term, triple) for triple in itertools.product(lengths[:8], repeat=3)]
+    calls += [(pants_sum_term_via_complement, (1e-12, 1e-12, 700.0))]
+    for call, args in calls:
+        try:
+            value = call(*args)
+        except DomainError:
+            continue
+        assert isfinite(value), (call.__name__, args)
 
 
 def test_identity_term_refuses_unknown_kind():
@@ -646,6 +676,22 @@ def test_evaluate_restores_the_collector_state(enabled, monkeypatch):
             assert gc.isenabled() is enabled, raised
     finally:
         gc.enable()
+
+
+def test_columns_and_evaluate_never_pause_the_collector(monkeypatch):
+    # only untracked floats outlive the walk: nothing on this path may
+    # disable the collector, and both give the same columns and sum
+    columns = spectrum_columns(THIN, 20.0)
+    report = evaluate(IdentityKind.MCSHANE, THIN, 20.0)
+
+    def refuse():
+        raise AssertionError("the collector was paused")
+
+    monkeypatch.setattr(gc, "disable", refuse)
+    assert spectrum_columns(THIN, 20.0) == columns
+    assert evaluate(IdentityKind.MCSHANE, THIN, 20.0).partial_sum.hex() == report.partial_sum.hex()
+    with pytest.raises(AssertionError, match="collector was paused"):
+        enumerate_geodesics(THIN, 20.0)
 
 
 def test_iter_terms_holds_no_pause_across_a_yield():

@@ -9,7 +9,6 @@ from hypident import (
     foursphere_ortho,
     guard_threshold,
     pants_geometry,
-    quasi_pants_term,
     torus_ortho,
 )
 from helpers import seam_oracle
@@ -199,7 +198,6 @@ def test_ortho_rejects_nonpositive():
         (foursphere_ortho, (60.0, 1400.0)),  # m: inf / inf
         (pants_geometry, (0.5, 0.5, 1e10)),
         (pants_geometry, (700.0, 700.0, 700.0)),  # d: a product overflows
-        (quasi_pants_term, (0.5, 1e10)),
     ],
 )
 def test_overflowing_trigonometry_is_refused(call, lengths):
