@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from operator import attrgetter
 
 from .curves import brute_force_trace, enumerate_geodesics
 from .dilog import PI2_6, rogers
@@ -30,6 +31,11 @@ __all__ = ["run", "main"]
 
 # a sweep grid is built as a list before any point is evaluated
 _MAX_SWEEP_POINTS = 10**6
+
+_IDENTITY_NAMES = [kind.value for kind in IdentityKind]
+
+# the `IdentityReport` fields of a sweep row, after the varied parameter
+_SWEEP_FIELDS = ("cutoff", "term_count", "partial_sum", "defect", "tail_estimate")
 
 
 class _UsageError(Exception):
@@ -79,11 +85,7 @@ def _point_from_args(args):
 
 def _add_common(parser, with_identity):
     if with_identity:
-        parser.add_argument(
-            "--identity",
-            required=True,
-            choices=[kind.value for kind in IdentityKind],
-        )
+        parser.add_argument("--identity", required=True, choices=_IDENTITY_NAMES)
     parser.add_argument("--traces", help="trace triple x,y,z")
     parser.add_argument("--fn", help="Fenchel-Nielsen data b,t,k")
     parser.add_argument("--cutoff", type=float, required=True, help="length cutoff")
@@ -105,7 +107,7 @@ def _build_parser():
     _add_common(p, with_identity=True)
 
     p = sub.add_parser("sweep", help="evaluate an identity over a parameter grid")
-    p.add_argument("--identity", required=True, choices=[k.value for k in IdentityKind])
+    p.add_argument("--identity", required=True, choices=_IDENTITY_NAMES)
     p.add_argument("--vary", required=True, help="name=start:stop:step (inclusive of start)")
     p.add_argument("--fn", required=True, help="b,t,k with _ in the varied slot")
     p.add_argument("--cutoff", type=float, required=True)
@@ -200,32 +202,14 @@ def _cmd_sweep(args, out):
             except ValueError:
                 raise _UsageError(f"malformed number in --fn={args.fn!r}") from None
 
+    columns = attrgetter(*_SWEEP_FIELDS)
     rows = []
     for value in values:
         params = dict(fixed)
         params[name] = value
         triple = from_fenchel_nielsen(FenchelNielsen(params["b"], params["t"], params["k"]))
-        report = evaluate(kind, triple, args.cutoff)
-        rows.append(
-            (
-                name,
-                value,
-                report.cutoff,
-                report.term_count,
-                report.partial_sum,
-                report.defect,
-                report.tail_estimate,
-            )
-        )
-    header = [
-        "param_name",
-        "param_value",
-        "cutoff",
-        "term_count",
-        "partial_sum",
-        "defect",
-        "tail_estimate",
-    ]
+        rows.append((name, value, *columns(evaluate(kind, triple, args.cutoff))))
+    header = ["param_name", "param_value", *_SWEEP_FIELDS]
     if args.out:
         # opened after the grid is evaluated: a refused point leaves the file as it was
         try:

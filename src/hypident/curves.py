@@ -48,10 +48,13 @@ when it is queued or refused.  After the walk, an integer key checks
 that no slope was emitted twice: (p, q) -> q m + p, with m - 1 twice the
 largest |p0| + (n - 1)|bp| of a stretch, is one to one, and the keys of
 a stretch are one `range`.  `enumerate_geodesics` then expands the
-stretches into `Slope` tuples, turns the traces into lengths, builds the
-records in bulk, and sorts them by (trace, slope), and so by length;
-`spectrum_columns` builds no slope, and sorts the traces as plain
-floats, into the same order of lengths and traces.
+stretches into `Slope` tuples, builds the records in bulk, and sorts them
+by (trace, slope), and so by length; `spectrum_columns` builds no slope,
+and sorts the traces as plain floats, into the same order of lengths and
+traces.  The walk forms no length: both functions form each one with
+`torus.length_from_trace`, which refuses a NaN or <= 2 trace.  Such a
+trace gets through the walk only as a NaN or from the root triangle of an
+unreduced, unvalidated triple.
 
 Slope arithmetic is exact (Python integers); traces are binary64.
 
@@ -62,11 +65,10 @@ parents), multiplies the explicit Fenchel-Nielsen matrices, and reports
 """
 
 import gc
-import math
 from collections import deque
 from functools import partial
 from itertools import chain, count, islice
-from math import acosh, cosh, gcd
+from math import cosh, gcd
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -186,11 +188,6 @@ def _non_hyperbolic_child(p, q, trace):
     )
 
 
-def _lengths(traces):
-    # as in `length_from_trace`, whose refusals `_walk` has already applied
-    return [2.0 * acosh(0.5 * t) for t in traces]
-
-
 def _assert_distinct(stretches, total):
     """Assert that the `total` slopes of `stretches` are distinct."""
     # (p, q) -> q m + p is one to one for q >= 0 and |p| < m/2; along a
@@ -211,9 +208,11 @@ def _walk(triple, length_cutoff, reduce, max_records):
     """The stretches and traces within the cutoff, in emission order.
 
     Stretch i covers the next n_i traces (see the module docstring); the
-    stretches hold as many slopes as there are traces, all distinct.
+    stretches hold as many slopes as there are traces, all distinct.  A
+    kept child trace <= 2 is refused here; a NaN trace, or a trace of the
+    root triangle, is returned as it is, for `length_from_trace` to refuse.
     """
-    if not (math.isfinite(length_cutoff) and length_cutoff > 0.0):
+    if not length_cutoff > 0.0:
         raise DomainError(f"length cutoff must be positive, got {length_cutoff!r}")
     if length_cutoff > _MAX_CUTOFF:
         raise DomainError(
@@ -271,10 +270,6 @@ def _walk(triple, length_cutoff, reduce, max_records):
             stretches.append((ap + start * bp, aq + start * bq, bp, bq, end - start))
 
     _assert_distinct(stretches, len(traces))
-    # emitted traces are never +inf, so `2 < t` fails exactly where
-    # `length_from_trace` refuses: let it raise its own message
-    if not all(map((2.0).__lt__, traces)):
-        length_from_trace(next(t for t in traces if not 2.0 < t))
     return stretches, traces
 
 
@@ -288,33 +283,24 @@ def enumerate_geodesics(
     """All simple closed geodesics of length <= `length_cutoff`, each once.
 
     Records are sorted by (trace, slope) ascending, slopes in rational
-    order, and so by length; `spectrum_columns` gives the same lengths and
-    traces in the same order.  Slopes are assigned in the marking of the
-    tree root: the root edge joins 0/1 and 1/0, with traces x and y, and
-    its two triangles add 1/1 (trace z) and -1/1 (trace xy - z).  By
-    default the root is `reduce_to_minimal(triple)`; pass ``reduce=False``
-    to keep the marking of `triple` itself.
+    order, and so by length; distinct slopes of equal length stay distinct
+    records.  `spectrum_columns` gives the same lengths and traces in the
+    same order.  Slopes are assigned in the marking of the tree root: the
+    root edge joins 0/1 and 1/0, with traces x and y, and its two
+    triangles add 1/1 (trace z) and -1/1 (trace xy - z).  By default the
+    root is `reduce_to_minimal(triple)`; pass ``reduce=False`` to keep the
+    marking of `triple` itself.  The module docstring describes the walk.
 
-    Distinct slopes of equal length stay distinct records, so spectrum
-    multiplicity is automatic.
-
-    Each popped entry (a, b, ta, tb, t) emits its mediant a + b when t is
-    within the cutoff, then follows its twist run (the children that keep
-    b) inline, and queues the children that keep a; each child is pruned
-    before it is followed or queued (see the module docstring).  Emission
-    is therefore not breadth-first, but every node is visited once with
-    the same float expressions, so the sorted records are those of a
-    breadth-first walk, bit for bit.  The walk gives the slopes as
-    stretches; they are expanded into `Slope` tuples here, in C, beside
-    the traces and lengths.  A kept child trace <= 2 raises
-    `NonHyperbolicError` where it is formed; a NaN trace is kept and ends
-    in `NonHyperbolicError` or, as its subtree stays NaN, in
-    `ResourceLimitError` at `max_records`.  A cutoff outside (0, 1419] is
-    refused with `DomainError`.
+    A cutoff outside (0, 1419] is refused with `DomainError`.  A kept
+    child trace <= 2 raises `NonHyperbolicError` where the walk forms it.
+    A NaN trace is kept, with its subtree, and ends in `ResourceLimitError`
+    at `max_records` or in the `NonHyperbolicError` of `length_from_trace`,
+    which forms every length here as the records are built.
 
     The cyclic garbage collector is paused only from the slope expansion
-    through the sort, where the tracked tuples are made; the caller's state
-    is restored on return and on every raise.
+    through the sort, where the tracked tuples are made, and so also where
+    the lengths are formed; the caller's state is restored on return and on
+    every raise.
     """
     stretches, traces = _walk(triple, length_cutoff, reduce, max_records)
     # unpaused, the 215,174 slopes and records of FN(24.8, 0, 0) at cutoff 25.5
@@ -325,7 +311,7 @@ def enumerate_geodesics(
         runs = (islice(zip(count(p, bp), count(q, bq)), n) for p, q, bp, bq, n in stretches)
         # the walk forms only canonical, primitive vectors: skip the check
         slopes = map(_make_slope, chain.from_iterable(runs))
-        records = list(map(_make_record, zip(slopes, traces, _lengths(traces))))
+        records = list(map(_make_record, zip(slopes, traces, map(length_from_trace, traces))))
         del stretches, traces  # the records hold every slope and float
         records.sort(key=attrgetter("trace", "slope"))
     finally:
@@ -344,11 +330,12 @@ def spectrum_columns(
 
     The same walk and refusals, with the collector as the caller left it:
     no record and no slope is built, the stretches are dropped and the
-    traces sorted as plain floats.
+    traces sorted as plain floats, then mapped to lengths by
+    `length_from_trace`.
     """
     traces = _walk(triple, length_cutoff, True, max_records)[1]  # frees the stretches
     traces.sort()
-    return _lengths(traces), traces
+    return list(map(length_from_trace, traces)), traces
 
 
 _ORACLE_SCALE = 50

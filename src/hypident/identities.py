@@ -285,26 +285,29 @@ def pants_sum_term_via_complement(l1: float, l2: float, l3: float) -> float:
 
 
 def _lasso_guard(b, m):
+    # the seam m of `torus_ortho(k, b)` always has e^(-b) < tanh^2(m/2) in
+    # exact arithmetic; for large k the gap falls below float resolution
     y = tanh(0.5 * m) ** 2
     if exp(-b) >= y:
         raise DomainError(
-            f"guard e^(-b) < tanh^2(m/2) violated (b={b!r}, m={m!r}): non-geometric input"
+            f"guard e^(-b) < tanh^2(m/2) violated (b={b!r}, m={m!r}):"
+            " at this k the seam gap is below float resolution"
         )
     return y
 
 
-def quasi_pants_term(k: float, b: float, ortho=None) -> float:
+def quasi_pants_term(k: float, b: float) -> float:
     """Quasi-embedded three-holed-sphere bracket.
 
     Determined by the torus boundary length k and the interior geodesic
-    length b; `ortho` may supply precomputed (m, p, q) orthogeodesic
-    lengths of the cut pants.
+    length b, through the orthogeodesic lengths (m, p, q) of the cut pants
+    that `torus_ortho(k, b)` gives.
     """
     _check_positive("k", k)
     _check_positive("b", b)
     if b > _LIMIT_LENGTH:  # before the cut pants, whose cosh can overflow
         return 0.0
-    m, p, q = ortho if ortho is not None else torus_ortho(k, b)
+    m, p, q = torus_ortho(k, b)
     y = _lasso_guard(b, m)  # before the seam guard of term_ortho_torus
     return 8.0 * (
         term_ortho_torus(k, m, q) - rogers(_sech2_half(p)) - 2.0 * lasso(exp(-b), y)

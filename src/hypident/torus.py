@@ -36,7 +36,7 @@ certificate.
 """
 
 import math
-from math import acosh, cosh, exp, sinh, sqrt
+from math import acosh, cosh, exp, inf, sinh, sqrt
 from typing import NamedTuple
 
 from .errors import DomainError, NoRealStructureError, NonHyperbolicError
@@ -200,7 +200,8 @@ def fenchel_nielsen_matrices(fn: FenchelNielsen):
 
 def length_from_trace(tr: float) -> float:
     """Geodesic length of a hyperbolic element from its trace."""
-    if not math.isfinite(tr) or tr <= 2.0:
+    # one chained test refuses NaN, inf and tr <= 2: it runs once per geodesic
+    if not 2.0 < tr < inf:
         raise NonHyperbolicError(f"trace must exceed 2 for a hyperbolic element, got {tr!r}")
     return 2.0 * acosh(0.5 * tr)
 

@@ -137,6 +137,27 @@ def test_sweep_grid():
     assert [line.split(",")[1] for line in lines[1:]] == ["0.5", "0.75", "1", "1.25", "1.5"]
 
 
+def test_sweep_rows_match_verify():
+    # both print floats with 17 significant digits, so the strings agree
+    code, out, err = invoke(
+        ["sweep", "--identity", "thm11", "--vary", "k=0.5:1.5:0.5", "--fn", "1.2,0.3,_",
+         "--cutoff", "14"]
+    )
+    assert code == 0, err
+    header, *lines = (line.split(",") for line in out.splitlines())
+    assert len(lines) == 3
+    fields = ("cutoff", "term_count", "partial_sum", "defect", "tail_estimate")
+    for line in lines:
+        row = dict(zip(header, line))
+        _, verify_out, _ = invoke(
+            ["verify", "--identity", "thm11", "--fn", f"1.2,0.3,{row['param_value']}",
+             "--cutoff", "14", "--format", "csv", "--tol", "1"]
+        )
+        verify_header, verify_row = (text.split(",") for text in verify_out.splitlines())
+        expected = dict(zip(verify_header, verify_row))
+        assert [row[f] for f in fields] == [expected[f] for f in fields], row
+
+
 def test_sweep_to_file(tmp_path):
     target = tmp_path / "sweep.csv"
     code, out, _ = invoke(
@@ -238,6 +259,12 @@ def test_domain_errors_exit_two():
             "error: length cutoff must be <= 1419.0 for a finite trace cutoff,"
             f" got {float(cutoff)!r}\n"
         )
+    # an infinite cutoff is too long, not negative
+    code, out, err = invoke(
+        ["verify", "--identity", "thm12", "--traces", "3,3,3", "--cutoff", "inf"]
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: length cutoff must be <= 1419.0 for a finite trace cutoff, got inf\n"
 
 
 def test_module_entry_point():

@@ -311,26 +311,27 @@ def test_collector_is_paused_through_the_record_pass(monkeypatch):
     # raise there restores the collector; `spectrum_columns` does so with
     # the collector as the caller left it
     seen = []
-    lengths = curves._lengths
+    length_from_trace = curves.length_from_trace
 
-    def spy(traces):
+    def spy(trace):
         seen.append(gc.isenabled())
-        return lengths(traces)
+        return length_from_trace(trace)
 
-    monkeypatch.setattr(curves, "_lengths", spy)
-    enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 10.0)
+    monkeypatch.setattr(curves, "length_from_trace", spy)
+    count = len(enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 10.0))
     spectrum_columns(trace_triple(3.0, 3.0, 3.0), 10.0)
-    assert seen == [False, True]
+    assert count > 0 and seen == [False] * count + [True] * count
 
-    def refuse(traces):
+    def refuse(trace):
         raise ArithmeticError("refused inside the pause")
 
-    monkeypatch.setattr(curves, "_lengths", refuse)
+    monkeypatch.setattr(curves, "length_from_trace", refuse)
     with pytest.raises(ArithmeticError, match="inside the pause"):
         enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 10.0)
     assert gc.isenabled()
-    # the walk refuses a bad trace before the pause, alike for both;
+    # `length_from_trace` refuses a bad trace, alike for both;
     # `spectrum_columns` always reduces, so the reduction is patched out
+    monkeypatch.setattr(curves, "length_from_trace", length_from_trace)
     monkeypatch.setattr(curves, "reduce_to_minimal", lambda triple: triple)
     root = TraceTriple(10.0, 2.0, 10.0, 4.0, 0.0)
     refused = _refusal(lambda: enumerate_geodesics(root, 4.0))
@@ -358,10 +359,18 @@ def test_collector_disabled_by_the_caller_stays_disabled():
 
 
 def test_enumerate_rejects_bad_cutoff():
-    # 2cosh(L/2) overflows at 1500 and is inf at 1420.5, which prunes nothing
-    for cutoff in (0.0, 1500.0, 1420.5):
+    # 2cosh(L/2) overflows at 1500 and is inf at 1420.5, which prunes nothing;
+    # an infinite cutoff is too long, not negative
+    for cutoff, message in (
+        (0.0, "must be positive, got 0.0"),
+        (nan, "must be positive, got nan"),
+        (-inf, "must be positive, got -inf"),
+        (1500.0, "for a finite trace cutoff, got 1500.0"),
+        (1420.5, "for a finite trace cutoff, got 1420.5"),
+        (inf, "for a finite trace cutoff, got inf"),
+    ):
         refused = _refusal(lambda: enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), cutoff))
-        assert refused[0] is DomainError
+        assert refused[0] is DomainError and refused[1].endswith(message)
         assert _refusal(lambda: spectrum_columns(trace_triple(3.0, 3.0, 3.0), cutoff)) == refused
 
 

@@ -420,16 +420,31 @@ def test_quasi_pants_sum_matches_partial_form():
         assert abs(direct - partial + 8.0 * defect) <= 1e-13, (fn, cutoff)
 
 
-def test_quasi_pants_guards():
-    # geometric data always satisfies the guards; a hand-fed short seam
-    # violates them and must be rejected.  The b guard is checked first, so
-    # it names the first point, which breaks the k guard as well
+def test_quasi_pants_guards(monkeypatch):
+    # the seams of `torus_ortho` satisfy the guards in exact arithmetic, but at
+    # large k the gap tanh^2(m/2) - e^(-b) can fall below float resolution: at
+    # these points it is 4.2e-18, 8.6e-27 and 5.5e-27 (mpmath, 60 digits), and
+    # both forms refuse them with that cause
+    for k, b in ((80.0, 5.0), (120.0, 2.0), (120.0, 0.5)):
+        m = torus_ortho(k, b).m
+        message = (
+            f"guard e^(-b) < tanh^2(m/2) violated (b={b!r}, m={m!r}):"
+            " at this k the seam gap is below float resolution"
+        )
+        with pytest.raises(DomainError, match=re.escape(message)):
+            quasi_pants_term(k, b)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            torus_contribution_partial(k, [GeodesicRecord(None, 2.0 * cosh(0.5 * b), b)])
+    # injected short seams violate the guards.  The b guard is checked
+    # first, so it names the first point, which breaks the k guard as well
+    monkeypatch.setattr(identities, "torus_ortho", lambda k, b: (0.05, 1.0, 1.0))
     message = "guard e^(-b) < tanh^2(m/2) violated (b=3.0, m=0.05)"
     with pytest.raises(DomainError, match=re.escape(message)):
-        quasi_pants_term(2.0, 3.0, ortho=(0.05, 1.0, 1.0))
+        quasi_pants_term(2.0, 3.0)
+    monkeypatch.setattr(identities, "torus_ortho", lambda k, b: (1.0, 1.0, 1.0))
     message = "guard e^(-k/2) < tanh^2(m/2) violated (k=0.001, m=1.0)"
     with pytest.raises(DomainError, match=re.escape(message)):
-        quasi_pants_term(0.001, 3.0, ortho=(1.0, 1.0, 1.0))
+        quasi_pants_term(0.001, 3.0)
 
 
 def test_evaluate_cusped_identity_converges():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import acosh, cosh, sqrt
+from math import acosh, cosh, inf, nan, sqrt
 
 import pytest
 
@@ -258,10 +258,9 @@ def test_length_from_trace():
 
 
 def test_length_from_trace_rejects_non_hyperbolic():
-    with pytest.raises(NonHyperbolicError):
-        length_from_trace(2.0)
-    with pytest.raises(NonHyperbolicError):
-        length_from_trace(-3.0)
+    for trace in (2.0, -3.0, nan, inf, -inf):
+        with pytest.raises(NonHyperbolicError, match=f"hyperbolic element, got {trace!r}$"):
+            length_from_trace(trace)
 
 
 def test_fenchel_nielsen_validation():
