@@ -14,112 +14,18 @@ Modules:
     cli         command-line front end (verify/spectrum/terms/sweep/selftest)
 """
 
-from .curves import (
-    GeodesicRecord,
-    Slope,
-    brute_force_trace,
-    enumerate_geodesics,
-    markov_child,
-    reduce_to_minimal,
-    spectrum_columns,
-)
-from .dilog import lasso, li2, rogers
-from .errors import (
-    DomainError,
-    NoRealStructureError,
-    NonHyperbolicError,
-    ResourceLimitError,
-    SingularInputError,
-)
-from .identities import (
-    IdentityKind,
-    IdentityReport,
-    compensated_sum,
-    evaluate,
-    identity_term,
-    iter_terms,
-    pants_sum_term,
-    pants_sum_term_via_complement,
-    quasi_pants_term,
-    tail_estimate,
-    term_cusped,
-    term_foursphere_cusped,
-    term_foursphere_ortho,
-    term_foursphere_simple,
-    term_mcshane,
-    term_one_holed,
-    term_ortho_torus,
-    term_trace_squared,
-    torus_contribution_partial,
-)
-from .pants import (
-    Orthogeodesics,
-    PantsGeometry,
-    foursphere_ortho,
-    guard_threshold,
-    pants_geometry,
-    torus_ortho,
-)
-from .torus import (
-    FenchelNielsen,
-    TraceTriple,
-    boundary_length,
-    fenchel_nielsen_matrices,
-    from_fenchel_nielsen,
-    from_traces,
-    length_from_trace,
-    trace_triple,
-)
+from . import curves, dilog, errors, identities, pants, torus
+from .curves import *  # noqa: F403
+from .dilog import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .identities import *  # noqa: F403
+from .pants import *  # noqa: F403
+from .torus import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# each module's `__all__` is the one list of its public names
 __all__ = [
-    "DomainError",
-    "FenchelNielsen",
-    "GeodesicRecord",
-    "IdentityKind",
-    "IdentityReport",
-    "NoRealStructureError",
-    "NonHyperbolicError",
-    "Orthogeodesics",
-    "PantsGeometry",
-    "ResourceLimitError",
-    "SingularInputError",
-    "Slope",
-    "TraceTriple",
-    "boundary_length",
-    "brute_force_trace",
-    "compensated_sum",
-    "enumerate_geodesics",
-    "evaluate",
-    "fenchel_nielsen_matrices",
-    "foursphere_ortho",
-    "from_fenchel_nielsen",
-    "from_traces",
-    "guard_threshold",
-    "identity_term",
-    "iter_terms",
-    "lasso",
-    "length_from_trace",
-    "li2",
-    "markov_child",
-    "pants_geometry",
-    "pants_sum_term",
-    "pants_sum_term_via_complement",
-    "quasi_pants_term",
-    "reduce_to_minimal",
-    "rogers",
-    "spectrum_columns",
-    "tail_estimate",
-    "term_cusped",
-    "term_foursphere_cusped",
-    "term_foursphere_ortho",
-    "term_foursphere_simple",
-    "term_mcshane",
-    "term_one_holed",
-    "term_ortho_torus",
-    "term_trace_squared",
-    "torus_contribution_partial",
-    "torus_ortho",
-    "trace_triple",
+    *curves.__all__, *dilog.__all__, *errors.__all__,
+    *identities.__all__, *pants.__all__, *torus.__all__,
 ]

@@ -164,13 +164,12 @@ def reduce_to_minimal(triple: TraceTriple) -> TraceTriple:
     bounded below by 2, and the tree has no infinite descending paths, so
     this terminates.
     """
-    coords = [triple.x, triple.y, triple.z]
+    coords = (triple.x, triple.y, triple.z)
     while True:
-        i = max(range(3), key=lambda j: coords[j])
-        j, l = (j for j in range(3) if j != i)
-        candidate = coords[j] * coords[l] - coords[i]
-        if candidate < coords[i]:
-            coords[i] = candidate
+        i = max(range(3), key=coords.__getitem__)
+        child = markov_child(*coords, i + 1)
+        if child[i] < coords[i]:
+            coords = child
         else:
             # the reduced marking describes the same surface: keep its k
             return trace_triple(*coords)._replace(k=triple.k)

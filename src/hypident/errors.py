@@ -1,5 +1,13 @@
 """Semantic exception hierarchy shared by all modules."""
 
+__all__ = [
+    "DomainError",
+    "SingularInputError",
+    "NonHyperbolicError",
+    "NoRealStructureError",
+    "ResourceLimitError",
+]
+
 
 class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""

@@ -152,8 +152,10 @@ def from_traces(x: float, y: float, k: float) -> TraceTriple:
             f"no real structure: discriminant {disc!r} < 0 for x={x!r}, y={y!r}, k={k!r}"
         )
     z = 2.0 * rest / (x * y + sqrt(disc))  # stable form of (xy - sqrt(disc))/2
-    if z <= 2.0:
-        raise NonHyperbolicError(f"third trace {z!r} <= 2: not a hyperbolic structure")
+    if z <= 2.0:  # the exact root exceeds (x^2 + y^2)/(xy) >= 2
+        raise NonHyperbolicError(
+            f"third trace {z!r} <= 2: the exact trace exceeds 2 by less than float resolution"
+        )
     return trace_triple(x, y, z)._replace(k=k)
 
 

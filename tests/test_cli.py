@@ -300,6 +300,25 @@ def test_sweep_range_must_be_finite():
         assert err == f"error: {message}, got {vary!r}\n"
 
 
+def test_sweep_usage_errors_name_the_argument():
+    shape = "--vary expects name=start:stop:step"
+    order = "--vary range must have step > 0 and stop >= start"
+    for vary, fn, message in (
+        ("k0.5:2:0.5", "1.2,0.3,_", f"{shape}, got 'k0.5:2:0.5'"),
+        ("k=0.5:2", "1.2,0.3,_", f"{shape}, got 'k=0.5:2'"),
+        ("k=a:2:0.5", "1.2,0.3,_", "malformed number in --vary='k=a:2:0.5'"),
+        ("k=2:1:0.5", "1.2,0.3,_", f"{order}, got 'k=2:1:0.5'"),
+        ("k=0.5:2:0", "1.2,0.3,_", f"{order}, got 'k=0.5:2:0'"),
+        ("k=0.5:2:0.5", "1.2,_", "--fn expects b,t,k with one _ slot, got '1.2,_'"),
+        ("k=0.5:2:0.5", "x,0.3,_", "malformed number in --fn='x,0.3,_'"),
+    ):
+        code, out, err = invoke(
+            ["sweep", "--identity", "thm11", "--vary", vary, "--fn", fn, "--cutoff", "5"]
+        )
+        assert (code, out) == (2, ""), (vary, fn)
+        assert err == f"error: {message}\n", (vary, fn)
+
+
 def test_verify_refuses_nan_or_negative_tol():
     # `abs(defect) <= tol` is false for every defect: refused before evaluating
     for tol in ("nan", "-nan", "-1e-4", "-inf"):
@@ -341,10 +360,43 @@ def _imports(tree):
                 yield alias.lineno, alias.asname or alias.name, alias.name, node.level > 0
 
 
+def _defined(tree):
+    # (line, name) of each module-level function, class and assigned name
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((node.lineno, t.id) for t in targets if isinstance(t, ast.Name))
+
+
+def _public_names(path):
+    """The names of a module's `__all__`, and the siblings it splices in.
+
+    `__all__` is a list of string literals and of `*m.__all__` splices of
+    sibling modules, whose lists are read from their sources: importing
+    every module would run the CLI of `__main__`.
+    """
+    names, spliced = [], []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            for element in node.value.elts:
+                if isinstance(element, ast.Starred):
+                    assert element.value.attr == "__all__", f"{path.name}: splice of a non-__all__"
+                    spliced.append(element.value.value.id)
+                    names += _public_names(path.with_name(f"{spliced[-1]}.py"))[0]
+                else:
+                    names.append(ast.literal_eval(element))
+    return names, spliced
+
+
 def test_package_imports_are_public_and_used():
     # no module reaches into a sibling's private names, every imported name
     # is read or re-exported (an alias kept on purpose says `# noqa: F401`),
-    # and every private module-level name is read in its own module
+    # a star import brings in a sibling whose `__all__` is spliced into the
+    # importer's, and every private module-level name is read in its own module
     modules = sorted((SRC / "hypident").glob("*.py"))
     assert modules
     for path in modules:
@@ -353,32 +405,62 @@ def test_package_imports_are_public_and_used():
         tree = ast.parse(source)
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
                 and isinstance(n.ctx, ast.Load)}
-        exported = set()
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__"
-                for target in node.targets
-            ):
-                exported.update(ast.literal_eval(node.value))
+        exported, spliced = _public_names(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.names[0].name == "*":
+                assert node.level == 1 and node.module in spliced, (
+                    f"{path.name}:{node.lineno} star import of a module whose __all__ is not spliced"
+                )
         for lineno, name, imported, sibling in _imports(tree):
             where = f"{path.name}:{lineno} {imported}"
             assert not (sibling and imported.startswith("_")), f"{where}: private name of a sibling"
-            assert name in read or name in exported or "# noqa: F401" in lines[lineno - 1], (
-                f"{where}: imported but never read"
-            )
+            assert imported == "*" or name in read or name in exported or (
+                "# noqa: F401" in lines[lineno - 1]
+            ), f"{where}: imported but never read"
         # a module-level `_` function, class or constant serves only its own
         # module: one that is never read there is dead
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            for name in names:
-                if name.startswith("_") and not name.startswith("__"):
-                    assert name in read, f"{path.name}:{node.lineno} {name} is never read"
+        for lineno, name in _defined(tree):
+            if name.startswith("_") and not name.startswith("__"):
+                assert name in read, f"{path.name}:{lineno} {name} is never read"
+
+
+# the names of `hypident` before its `__all__` became the splice of its modules'
+_PACKAGE_NAMES = """
+    DomainError FenchelNielsen GeodesicRecord IdentityKind IdentityReport NoRealStructureError
+    NonHyperbolicError Orthogeodesics PantsGeometry ResourceLimitError SingularInputError Slope
+    TraceTriple boundary_length brute_force_trace compensated_sum enumerate_geodesics evaluate
+    fenchel_nielsen_matrices foursphere_ortho from_fenchel_nielsen from_traces guard_threshold
+    identity_term iter_terms lasso length_from_trace li2 markov_child pants_geometry
+    pants_sum_term pants_sum_term_via_complement quasi_pants_term reduce_to_minimal rogers
+    spectrum_columns tail_estimate term_cusped term_foursphere_cusped term_foursphere_ortho
+    term_foursphere_simple term_mcshane term_one_holed term_ortho_torus term_trace_squared
+    torus_contribution_partial torus_ortho trace_triple
+""".split()
+
+
+def test_package_exports_each_module_all():
+    import hypident
+    from hypident import curves, dilog, errors, identities, pants, torus
+
+    modules = (curves, dilog, errors, identities, pants, torus)
+    assert hypident.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(hypident.__all__)) == len(hypident.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(hypident, name) is getattr(module, name), name
+    assert len(_PACKAGE_NAMES) == 48
+    assert set(_PACKAGE_NAMES) <= set(hypident.__all__)
+    # `__init__` writes no name by hand: its only strings are the docstring and the version
+    tree = ast.parse((SRC / "hypident" / "__init__.py").read_text())
+    strings = [n.value for n in ast.walk(tree)
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    assert strings == [ast.get_docstring(tree, clean=False), hypident.__version__]
+    # a module defines each name of its own `__all__`, not only imports it
+    for path in sorted((SRC / "hypident").glob("*.py")):
+        names, spliced = _public_names(path)
+        if not spliced:
+            defined = {name for _, name in _defined(ast.parse(path.read_text()))}
+            assert set(names) <= defined, f"{path.name}: {sorted(set(names) - defined)}"
 
 
 def test_out_of_range_traces_exit_two():

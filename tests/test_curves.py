@@ -286,6 +286,13 @@ def test_enumerate_refuses_a_child_trace_at_most_2():
     )
     with pytest.raises(NonHyperbolicError, match="got -30.17"):
         enumerate_geodesics(twisted, 1.1076, reduce=False, max_records=200_000)
+    # a step of a twist run, not a queued child, forms the bad trace
+    run_step = TraceTriple(4.217408995868223, 2.0804290307027227, 2.359975183840471, 0.0, 0.0)
+    with pytest.raises(
+        NonHyperbolicError,
+        match=r"^trace of slope 2/1 must exceed 2, got 0\.692351888331487: not a hyperbolic",
+    ):
+        enumerate_geodesics(run_step, 6.0, reduce=False)
 
 
 def test_enumerate_keeps_nan_children():

@@ -142,6 +142,8 @@ def test_lasso_rejects_out_of_square():
         lasso(-0.1, 0.5)
     with pytest.raises(DomainError):
         lasso(0.5, 1.1)
+    with pytest.raises(DomainError, match=r"^lasso arguments must be finite, got \(nan, 0\.5\)$"):
+        lasso(float("nan"), 0.5)
 
 
 def test_lasso_singular_corner():

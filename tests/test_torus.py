@@ -181,6 +181,27 @@ def test_from_traces_negative_discriminant():
         from_traces(2.1, 2.1, 10.0)
 
 
+def test_from_traces_refusals_keep_their_messages():
+    for x, k, error, message in (
+        (2.0, 0.0, NonHyperbolicError, "trace x must exceed 2, got 2.0"),
+        (nan, 0.0, NonHyperbolicError, "trace x must exceed 2, got nan"),
+        (3.0, -1.0, DomainError, "boundary length k must be >= 0, got -1.0"),
+        (3.0, inf, DomainError, "boundary length k must be >= 0, got inf"),
+    ):
+        with pytest.raises(error, match=f"^{message}$"):
+            from_traces(x, 3.0, k)
+
+
+def test_from_traces_third_trace_below_float_resolution():
+    # the exact third trace is 2 + 4e-18, above 2 as for every x, y > 2
+    # and k >= 0; its float rounds to 2.0, so it is refused as unresolvable
+    with pytest.raises(
+        NonHyperbolicError,
+        match=r"^third trace 2\.0 <= 2: the exact trace exceeds 2 by less than float resolution$",
+    ):
+        from_traces(1e9, 1e9, 0.0)
+
+
 def test_fenchel_nielsen_exact_first_trace():
     fn = FenchelNielsen(1.7, 0.3, 2.0)
     triple = from_fenchel_nielsen(fn)
@@ -268,3 +289,6 @@ def test_fenchel_nielsen_validation():
         FenchelNielsen(0.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         FenchelNielsen(1.0, 0.0, -0.5)
+    for t in (inf, nan):
+        with pytest.raises(DomainError, match=f"^twist t must be finite, got {t!r}$"):
+            FenchelNielsen(1.0, t, 0.0)
