@@ -23,21 +23,21 @@ cosh(d_i/2) = sinh(m_k) sinh(a_j/2), which expands to the symmetric form
 N is invariant under relabeling, so permuting the boundary lengths permutes
 the seams and self-perpendiculars bit-for-bit.
 
-Two specializations are provided with their own closed forms.  For a
-four-holed sphere with all boundaries of length c, cutting along an
-interior simple closed geodesic of length a gives two copies of the pants
-(c, c, a); the self-perpendicular of the interior boundary satisfies
+Cutting a four-holed sphere with boundaries of length c along an interior
+simple closed geodesic of length a gives two pants (c, c, a); cutting a
+one-holed torus with boundary length k along one of length b gives the
+pants (k, b, b).  Both are the isosceles pants (pair, pair, single), whose
+seam m from a pair boundary to the single one, self-perpendicular p of the
+single boundary and seam q between the two pair boundaries satisfy
 
-    tanh^2(p/2) = (cosh c + 1) / (cosh c + cosh(a/2)).
+    cosh m    = cosh(pair/2) (1 + cosh(single/2)) / (sinh(pair/2) sinh(single/2)),
+    sinh(p/2) = cosh(pair/2) / sinh(single/4),
+    sinh(q/2) = cosh(single/4) / sinh(pair/2).
 
-For a one-holed torus with boundary length k, cutting along an interior
-simple closed geodesic of length b gives the pants (k, b, b); the seam
-between the two length-b boundaries satisfies
-
-    tanh^2(q/2) = (cosh(k/2) + 1) / (cosh(k/2) + cosh b).
-
-p and q shrink like e^{-a/4} and e^{-b/2}: both are taken from asinh of
-sinh(p/2) and sinh(q/2), since acosh of a ratio near 1 cancels.
+p and q shrink like e^{pair/2 - single/4} and e^{single/4 - pair/2}, so both
+come from asinh: an acosh of a ratio near 1 cancels.  A seam ratio rounded
+below 1 reads as 1 (m = 0).  `pants_geometry` and the matrix `seam_oracle`
+of the tests check these forms independently.
 
 Degenerate boundary lengths (below 1e-12) are rejected rather than extended
 by limits; cusps enter the library only through the dedicated cusped term
@@ -132,28 +132,31 @@ def pants_geometry(a1: float, a2: float, a3: float) -> PantsGeometry:
     return PantsGeometry(a1, a2, a3, m1, m2, m3, d1, d2, d3)
 
 
+def _isosceles_ortho(pair, single, pants):
+    # (m, p, q) of the pants (pair, pair, single), named `pants` in a refusal
+    try:
+        ch_pair = cosh(0.5 * pair)
+        ratio = ch_pair * (1.0 + cosh(0.5 * single)) / (sinh(0.5 * pair) * sinh(0.5 * single))
+        m = acosh(max(ratio, 1.0))  # the ratio first: a NaN is refused below
+        p = 2.0 * asinh(ch_pair / sinh(0.25 * single))
+        q = 2.0 * asinh(cosh(0.25 * single) / sinh(0.5 * pair))
+    except OverflowError:
+        raise _out_of_range(*pants) from None
+    if not math.isfinite(m + p + q):  # as in `pants_geometry`
+        raise _out_of_range(*pants)
+    return Orthogeodesics(m, p, q)
+
+
 def foursphere_ortho(c: float, a: float) -> Orthogeodesics:
     """Orthogeodesics of the pants (c, c, a) cut from a four-holed sphere.
 
     Returns (m, p, q): m joins a length-c boundary to the length-a boundary,
     p is the self-perpendicular of the length-a boundary, q joins the two
-    length-c boundaries.  p comes straight from its closed form, so this
-    routine is an independent check on the pentagon-derived d_i above.
+    length-c boundaries.
     """
     _check_length("c", c)
     _check_length("a", a)
-    try:
-        ch_c2, ch_a2 = cosh(0.5 * c), cosh(0.5 * a)
-        m = acosh(ch_c2 * (1.0 + ch_a2) / (sinh(0.5 * c) * sinh(0.5 * a)))
-        # tanh^2(p/2) = (cosh c + 1)/(cosh c + cosh(a/2)), rearranged as
-        # sinh(p/2) = cosh(c/2)/sinh(a/4): nothing cancels
-        p = 2.0 * asinh(ch_c2 / sinh(0.25 * a))
-        q = acosh((ch_a2 + ch_c2 * ch_c2) / (sinh(0.5 * c) ** 2))
-    except OverflowError:
-        raise _out_of_range(c, c, a) from None
-    if not math.isfinite(m + p + q):  # as in `pants_geometry`
-        raise _out_of_range(c, c, a)
-    return Orthogeodesics(m, p, q)
+    return _isosceles_ortho(c, a, (c, c, a))
 
 
 def torus_ortho(k: float, b: float) -> Orthogeodesics:
@@ -166,19 +169,7 @@ def torus_ortho(k: float, b: float) -> Orthogeodesics:
     """
     _check_length("k", k)
     _check_length("b", b)
-    try:
-        ch_k2, ch_b2 = cosh(0.5 * k), cosh(0.5 * b)
-        m = acosh(ch_b2 * (1.0 + ch_k2) / (sinh(0.5 * k) * sinh(0.5 * b)))
-        # cosh^2(p/2) = (cosh(k/2) + 1)(cosh(k/2) + cosh b) / sinh^2(k/2)
-        p = 2.0 * acosh(sqrt((ch_k2 + 1.0) * (ch_k2 + cosh(b))) / sinh(0.5 * k))
-        # tanh^2(q/2) = (cosh(k/2) + 1)/(cosh(k/2) + cosh b), rearranged as for
-        # the four-holed sphere: sinh(q/2) = cosh(k/4)/sinh(b/2)
-        q = 2.0 * asinh(cosh(0.25 * k) / sinh(0.5 * b))
-    except OverflowError:
-        raise _out_of_range(k, b, b) from None
-    if not math.isfinite(m + p + q):  # as in `pants_geometry`
-        raise _out_of_range(k, b, b)
-    return Orthogeodesics(m, p, q)
+    return _isosceles_ortho(b, k, (k, b, b))
 
 
 def guard_threshold(half_param: float) -> float:

@@ -265,6 +265,16 @@ def test_domain_errors_exit_two():
     )
     assert (code, out) == (2, "")
     assert err == "error: length cutoff must be <= 1419.0 for a finite trace cutoff, got inf\n"
+    # the seam ratio of the cut pants rounds below 1 mid-spectrum: m = 0 is
+    # refused, where a bare ValueError gave a traceback and exit 1
+    for argv in (
+        ["verify", "--identity", "four", "--fn", "4,0,76.4", "--cutoff", "45"],
+        ["verify", "--identity", "thm31", "--fn",
+         "3.707208801329932,1.9701994660338507,79.56376562077773", "--cutoff", "45"],
+    ):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: m must be a positive length, got 0.0\n", argv
 
 
 def test_module_entry_point():

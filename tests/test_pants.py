@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import asinh, cosh, exp, sinh, tanh
 
 import mpmath
@@ -82,6 +83,13 @@ def test_foursphere_matches_general_pants():
             assert abs(ortho.m - g.m1) <= 1e-10  # seam c <-> a
             assert abs(ortho.q - g.m3) <= 1e-10  # seam c <-> c
             assert abs(ortho.p - g.d3) <= 1e-10  # self-perp of the a boundary
+    for k in (0.1, 0.5, 1.0, 2.0, 5.0):
+        for b in (0.5, 1.0, 2.0, 5.0, 10.0):
+            ortho = torus_ortho(k, b)
+            g = pants_geometry(k, b, b)
+            assert abs(ortho.m - g.m2) <= 1e-10  # seam k <-> b
+            assert abs(ortho.q - g.m1) <= 1e-10  # seam b <-> b
+            assert abs(ortho.p - g.d1) <= 1e-10  # self-perp of the k boundary
 
 
 def test_foursphere_guard_threshold():
@@ -132,6 +140,45 @@ def test_short_orthogeodesics_of_long_geodesics_keep_relative_accuracy():
             for short in (q, p):
                 assert short > 0.0
                 assert abs(tanh(0.5 * short) ** 2 / exact - 1) <= 1e-14
+    # p (torus) and q (four-holed sphere) shrink like e^{-k/4} and e^{-c/2};
+    # against their cosh forms, evaluated where nothing cancels
+    with mpmath.workdps(80):
+        for k in (40.0, 80.0, 120.0):
+            for b in (0.5, 2.0, 10.0, 30.0):
+                ck = mpmath.cosh(mpmath.mpf(k) / 2)
+                cosh_p2 = mpmath.sqrt((ck + 1) * (ck + mpmath.cosh(b))) / mpmath.sinh(k / 2)
+                p = torus_ortho(k, b).p
+                assert abs(p / (2 * mpmath.acosh(cosh_p2)) - 1) <= 1e-14
+        for c in (20.0, 40.0, 60.0):
+            for a in (0.5, 2.0, 10.0, 30.0):
+                ch, sh = mpmath.cosh(mpmath.mpf(c) / 2), mpmath.sinh(mpmath.mpf(c) / 2)
+                cosh_q = (mpmath.cosh(mpmath.mpf(a) / 2) + ch**2) / sh**2
+                q = foursphere_ortho(c, a).q
+                assert abs(q / mpmath.acosh(cosh_q) - 1) <= 1e-14
+
+
+def test_torus_ortho_past_the_cosh_of_its_interior_length():
+    # cosh(b) overflows at b = 710, but no formula of the cut pants needs it
+    k, b = mpmath.mpf(0.5), mpmath.mpf(710.0)
+    with mpmath.workdps(80):
+        ck, sk = mpmath.cosh(k / 2), mpmath.sinh(k / 2)
+        m = mpmath.acosh(mpmath.cosh(b / 2) * (1 + ck) / (sk * mpmath.sinh(b / 2)))
+        p = 2 * mpmath.acosh(mpmath.sqrt((ck + 1) * (ck + mpmath.cosh(b))) / sk)
+        q = 2 * mpmath.atanh(mpmath.sqrt((ck + 1) / (ck + mpmath.cosh(b))))
+    for got, exact in zip(torus_ortho(0.5, 710.0), (m, p, q)):
+        assert abs(got / exact - 1) <= 1e-14
+
+
+def test_seam_ratio_rounded_below_one_reads_as_a_zero_seam():
+    # the ratio of m's acosh rounds below 1 at these points, which raised a
+    # bare ValueError (math domain error)
+    assert torus_ortho(112.67272807547687, 38.179942287276994).m == 0.0
+    assert foursphere_ortho(43.41291930487799, 167.4608298209319).m == 0.0
+    rng = random.Random(0)
+    for _ in range(20_000):
+        k, b = rng.uniform(40.0, 130.0), rng.uniform(20.0, 200.0)
+        for ortho in (torus_ortho(k, b), foursphere_ortho(k, b)):
+            assert ortho.m >= 0.0 and ortho.p > 0.0 and ortho.q > 0.0
 
 
 def test_covering_correspondence():
@@ -192,7 +239,7 @@ def test_ortho_rejects_nonpositive():
 @pytest.mark.parametrize(
     "call, lengths",
     [
-        (torus_ortho, (0.5, 710.0)),  # p: a product of cosh overflows to inf
+        (torus_ortho, (60.0, 1400.0)),  # m: inf / inf
         (torus_ortho, (0.5, 1e10)),  # cosh itself overflows
         (foursphere_ortho, (0.5, 1e10)),
         (foursphere_ortho, (60.0, 1400.0)),  # m: inf / inf
