@@ -4,50 +4,43 @@ A pair of pants with geodesic boundary lengths (a1, a2, a3) is glued from
 two congruent right-angled hexagons with alternating sides
 (a1/2, m3, a2/2, m1, a3/2, m2), where m_i is the seam: the simple
 orthogeodesic joining boundaries j and k ({i, j, k} = {1, 2, 3}).  The
-hexagon relation gives
+self-perpendicular d_i runs from boundary i back to itself, separating j
+and k; d_i/2 is the altitude of the hexagon between a_i/2 and m_i.  With
+C = cosh(a/2), S = sinh(a/2) and e = coth(a/2) - 1 = 2/expm1(a), the
+hexagon relation and the pentagon relation of the hexagon's two halves
+(Buser, Geometry and Spectra of Compact Riemann Surfaces, ch. 2) read
 
-    cosh(m_i) = (cosh(a_i/2) + cosh(a_j/2) cosh(a_k/2))
-                / (sinh(a_j/2) sinh(a_k/2)).
+    sinh^2(m_i/2) = (C_i / (S_j S_k) + e_j + e_k + e_j e_k) / 2,
+    sinh^2(d_i/2) = (C_j^2 + C_k^2 + 2 C_1 C_2 C_3) / S_i^2.
 
-Each boundary also carries a self-perpendicular d_i: the simple
-orthogeodesic from boundary i back to itself separating boundaries j and k.
-Its half crosses the seam m_i at a right angle, so d_i/2 is the altitude of
-the hexagon between the sides a_i/2 and m_i.  Splitting the hexagon along
-that altitude into two right-angled pentagons and applying the pentagon
-relation cosh(side) = sinh(far side) sinh(other far side) yields
-cosh(d_i/2) = sinh(m_k) sinh(a_j/2), which expands to the symmetric form
-
-    cosh^2(d_i/2) = N / sinh^2(a_i/2),
-    N = u^2 + v^2 + w^2 + 2 u v w - 1,   (u, v, w) = cosh(a_*/2).
-
-N is invariant under relabeling, so permuting the boundary lengths permutes
-the seams and self-perpendiculars bit-for-bit.
+Every summand is positive and each length is 2 asinh of the `hypot` of
+their roots, so it is accurate relative to its size however short, and
+never 0.  The textbook numerator C_i + cosh((a_j - a_k)/2) of the seam
+takes the cosh of a rounded difference, which costs ulp(a_j)/2 for long
+a_j, a_k; e_j + e_k + e_j e_k is coth(a_j/2) coth(a_k/2) - 1 without the
+cancellation.  The roots sqrt(C/2), sqrt(S) and sqrt(e/2) =
+sqrt(e^{-a/2}/2) / sqrt(S) are taken per boundary, so no product of two
+long boundaries' trigonometry overflows or underflows.  Each relation
+orders its two ends first, so permuting the boundary lengths permutes
+the seams and self-perpendiculars bit for bit.
 
 Cutting a four-holed sphere with boundaries of length c along an interior
 simple closed geodesic of length a gives two pants (c, c, a); cutting a
 one-holed torus with boundary length k along one of length b gives the
-pants (k, b, b).  Both are the isosceles pants (pair, pair, single), whose
-seam m from a pair boundary to the single one, self-perpendicular p of the
-single boundary and seam q between the two pair boundaries satisfy
-
-    cosh m    = cosh(pair/2) (1 + cosh(single/2)) / (sinh(pair/2) sinh(single/2)),
-    sinh(p/2) = cosh(pair/2) / sinh(single/4),
-    sinh(q/2) = cosh(single/4) / sinh(pair/2).
-
-p and q shrink like e^{pair/2 - single/4} and e^{single/4 - pair/2}, so both
-come from asinh: an acosh of a ratio near 1 cancels.  A seam ratio rounded
-below 1 reads as 1 (m = 0).  `pants_geometry` and the matrix `seam_oracle`
-of the tests check these forms independently.
+pants (k, b, b).  Both are the isosceles pants (pair, pair, single): its
+seam m from a pair boundary to the single one, self-perpendicular p of
+the single boundary and seam q between the pair boundaries are the two
+relations at those labels.
 
 Degenerate boundary lengths (below 1e-12) are rejected rather than extended
 by limits; cusps enter the library only through the dedicated cusped term
-functions in `identities`.  Lengths whose trigonometry overflows the float
-range (a cosh, or a product of them, past ~1.8e308) are refused with
-`DomainError` as well, rather than returned as inf or NaN.
+functions in `identities`.  Trigonometry that overflows the float range
+(a length past ~1420, or a sinh(d_i/2) past ~1.8e308) is refused with
+`DomainError` as well, rather than returned as inf.
 """
 
 import math
-from math import acosh, asinh, cosh, sinh, sqrt
+from math import asinh, cosh, exp, hypot, sinh, sqrt
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -102,12 +95,25 @@ class Orthogeodesics(NamedTuple):
     q: float
 
 
-def _seam(ai, aj, ak):
-    # hexagon relation; ai is the boundary the seam avoids
-    return acosh(
-        (cosh(0.5 * ai) + cosh(0.5 * aj) * cosh(0.5 * ak))
-        / (sinh(0.5 * aj) * sinh(0.5 * ak))
-    )
+def _boundary(a):
+    # sqrt(C/2), sqrt(S), sqrt(e/2), C and S of the boundary a (module docstring)
+    c, s = cosh(0.5 * a), sinh(0.5 * a)
+    rs = sqrt(s)
+    return sqrt(0.5 * c), rs, sqrt(0.5 * exp(-0.5 * a)) / rs, c, s
+
+
+def _seam(i, j, k):
+    # the seam relation: length of the seam joining j and k, for `_boundary` tuples
+    if j > k:
+        j, k = k, j
+    return 2.0 * asinh(hypot(i[0] / (j[1] * k[1]), j[2], k[2], j[2] * k[2], j[2] * k[2]))
+
+
+def _perp(i, j, k):
+    # the self-perpendicular relation: length of the self-perpendicular of i
+    if j > k:
+        j, k = k, j
+    return 2.0 * asinh(hypot(j[3] / i[4], k[3] / i[4], 4.0 * (i[0] / i[4]) * (j[0] * k[0])))
 
 
 def pants_geometry(a1: float, a2: float, a3: float) -> PantsGeometry:
@@ -116,32 +122,25 @@ def pants_geometry(a1: float, a2: float, a3: float) -> PantsGeometry:
     _check_length("a2", a2)
     _check_length("a3", a3)
     try:
-        m1 = _seam(a1, a2, a3)
-        m2 = _seam(a2, a3, a1)
-        m3 = _seam(a3, a1, a2)
-        u, v, w = cosh(0.5 * a1), cosh(0.5 * a2), cosh(0.5 * a3)
-        root = sqrt(u * u + v * v + w * w + 2.0 * u * v * w - 1.0)
-        d1 = 2.0 * acosh(root / sinh(0.5 * a1))
-        d2 = 2.0 * acosh(root / sinh(0.5 * a2))
-        d3 = 2.0 * acosh(root / sinh(0.5 * a3))
+        t1, t2, t3 = _boundary(a1), _boundary(a2), _boundary(a3)
     except OverflowError:
         raise _out_of_range(a1, a2, a3) from None
-    # an overflowing product is inf, with no OverflowError, and inf / inf a NaN
-    if not math.isfinite(m1 + m2 + m3 + d1 + d2 + d3):
+    g = PantsGeometry(
+        a1, a2, a3, _seam(t1, t2, t3), _seam(t2, t3, t1), _seam(t3, t1, t2),
+        _perp(t1, t2, t3), _perp(t2, t3, t1), _perp(t3, t1, t2),
+    )
+    if not math.isfinite(sum(g[3:])):  # an overflowing product is inf, not an OverflowError
         raise _out_of_range(a1, a2, a3)
-    return PantsGeometry(a1, a2, a3, m1, m2, m3, d1, d2, d3)
+    return g
 
 
 def _isosceles_ortho(pair, single, pants):
     # (m, p, q) of the pants (pair, pair, single), named `pants` in a refusal
     try:
-        ch_pair = cosh(0.5 * pair)
-        ratio = ch_pair * (1.0 + cosh(0.5 * single)) / (sinh(0.5 * pair) * sinh(0.5 * single))
-        m = acosh(max(ratio, 1.0))  # the ratio first: a NaN is refused below
-        p = 2.0 * asinh(ch_pair / sinh(0.25 * single))
-        q = 2.0 * asinh(cosh(0.25 * single) / sinh(0.5 * pair))
+        tp, ts = _boundary(pair), _boundary(single)
     except OverflowError:
         raise _out_of_range(*pants) from None
+    m, p, q = _seam(tp, tp, ts), _perp(ts, tp, tp), _seam(ts, tp, tp)
     if not math.isfinite(m + p + q):  # as in `pants_geometry`
         raise _out_of_range(*pants)
     return Orthogeodesics(m, p, q)

@@ -265,16 +265,19 @@ def test_domain_errors_exit_two():
     )
     assert (code, out) == (2, "")
     assert err == "error: length cutoff must be <= 1419.0 for a finite trace cutoff, got inf\n"
-    # the seam ratio of the cut pants rounds below 1 mid-spectrum: m = 0 is
-    # refused, where a bare ValueError gave a traceback and exit 1
+    # the seam ratio of the cut pants rounded below 1 mid-spectrum: a bare
+    # ValueError (exit 1), then m = 0 refused (exit 2).  The positive-sum seam
+    # is never 0, so each point now reads as thm11 does there
     for argv in (
         ["verify", "--identity", "four", "--fn", "4,0,76.4", "--cutoff", "45"],
         ["verify", "--identity", "thm31", "--fn",
          "3.707208801329932,1.9701994660338507,79.56376562077773", "--cutoff", "45"],
     ):
-        code, out, err = invoke(argv)
-        assert (code, out) == (2, ""), argv
-        assert err == "error: m must be a positive length, got 0.0\n", argv
+        code, out, err = invoke([*argv, "--format", "json"])
+        thm11_code, thm11_out, _ = invoke([*argv[:2], "thm11", *argv[3:], "--format", "json"])
+        assert (code, err) == (thm11_code, ""), argv
+        partial, thm11_partial = (json.loads(o)["partial_sum"] for o in (out, thm11_out))
+        assert abs(partial - thm11_partial) <= 1e-14, argv
 
 
 def test_module_entry_point():

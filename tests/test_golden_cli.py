@@ -105,7 +105,7 @@ GOLDEN = {
     ),
     "terms --identity thm31 --fn 1.2,0.4,1.5 --cutoff 8 --format json": (
         0,
-        "0e948a27e2cf1f4bae1cd77652774f8edeb0de0b7907b5a75a655ed1b1cb5a53",
+        "3b881ea840eae5840f9ba839a852b3960fc52d7115a1d53f985b0ee0227dc52c",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "verify --identity four --fn 1.2,0.4,1.5 --cutoff 8 --format json": (
@@ -165,7 +165,7 @@ GOLDEN = {
     ),
     "selftest --seed 0": (
         0,
-        "08739a47069eb497f83105c075e5af18f03174f711473349243429f0c37353bb",
+        "d877ce58a091c9d3d721d00ff64a3ad68ef1a8e17c140a8893ad1fc6f5d8a11b",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "verify --identity thm12 --traces 3,3 --cutoff 5": (
@@ -185,7 +185,7 @@ GOLDEN = {
     ),
     "terms --identity thm31 --fn 1.2,0.4,1.5 --cutoff 35 --format csv": (
         0,
-        "4b391d8b686d486509a213c8dc13cf67bc7d529aa1e87197a7493c484a57e5ef",
+        "8eb26257f6e6eaf5a79c3a213a3708b6b326aef311b45008dd88da1004d0b28c",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "spectrum --fn 8,0,0 --cutoff 20 --format csv": (

@@ -422,10 +422,11 @@ def test_quasi_pants_sum_matches_partial_form():
 
 def test_quasi_pants_guards(monkeypatch):
     # the seams of `torus_ortho` satisfy the guards in exact arithmetic, but at
-    # large k the gap tanh^2(m/2) - e^(-b) can fall below float resolution: at
-    # these points it is 4.2e-18, 8.6e-27 and 5.5e-27 (mpmath, 60 digits), and
-    # both forms refuse them with that cause
-    for k, b in ((80.0, 5.0), (120.0, 2.0), (120.0, 0.5)):
+    # large k the gap tanh^2(m/2) - e^(-b), ~e^(b - k/2) relative to e^(-b),
+    # can fall below float resolution: at these points it is 4.4e-28, 1.6e-28
+    # and 5.9e-29 (mpmath, 80 digits), 1.6e-18 relative, and both forms refuse
+    # them with that cause
+    for k, b in ((126.0, 22.0), (128.0, 23.0), (130.0, 24.0)):
         m = torus_ortho(k, b).m
         message = (
             f"guard e^(-b) < tanh^2(m/2) violated (b={b!r}, m={m!r}):"

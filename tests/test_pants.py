@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from math import asinh, cosh, exp, sinh, tanh
 
@@ -10,12 +11,52 @@ from hypident import (
     foursphere_ortho,
     guard_threshold,
     pants_geometry,
+    pants_sum_term,
+    term_ortho_torus,
     torus_ortho,
 )
 from helpers import seam_oracle
 
 # seam of the (2,2,2) pants: acosh((cosh 1 + cosh^2 1)/sinh^2 1), 40 digits
 SEAM_222 = 1.7049128323580137
+
+
+def _pants_mp(a1, a2, a3):
+    """(m1, m2, m3, d1, d2, d3) from the acosh forms of the hexagon relation.
+
+    cosh m_i = (C_i + C_j C_k) / (S_j S_k) and cosh^2(d_i/2) = (C_1^2 + C_2^2
+    + C_3^2 + 2 C_1 C_2 C_3 - 1) / S_i^2, with C, S = cosh, sinh of half a
+    boundary: not the library's positive-sum forms.  No length is shorter
+    than ~e^{-max(a)/2}, whose cosh - 1 ~ e^{-max(a)} these resolve at the
+    working precision, 40 digits past it.
+    """
+    with mpmath.workdps(40 + int(max(a1, a2, a3) / math.log(10))):
+        a = [mpmath.mpf(x) for x in (a1, a2, a3)]
+        c = [mpmath.cosh(x / 2) for x in a]
+        s = [mpmath.sinh(x / 2) for x in a]
+        root = mpmath.sqrt(c[0] ** 2 + c[1] ** 2 + c[2] ** 2 + 2 * c[0] * c[1] * c[2] - 1)
+        seams = [
+            mpmath.acosh((c[i] + c[j] * c[k]) / (s[j] * s[k]))
+            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        ]
+        return seams + [2 * mpmath.acosh(root / s[i]) for i in range(3)]
+
+
+def _torus_mp(k, b):
+    # (m, p, q) of `torus_ortho`: (m2, d1, m1) of the pants (k, b, b)
+    g = _pants_mp(k, b, b)
+    return g[1], g[3], g[0]
+
+
+def _foursphere_mp(c, a):
+    # (m, p, q) of `foursphere_ortho`: (m1, d3, m3) of the pants (c, c, a)
+    g = _pants_mp(c, c, a)
+    return g[0], g[5], g[2]
+
+
+def _relative_error(got, exact):
+    with mpmath.workdps(40):
+        return float(abs(mpmath.mpf(got) / exact - 1))
 
 
 def test_symmetric_pants():
@@ -169,16 +210,19 @@ def test_torus_ortho_past_the_cosh_of_its_interior_length():
         assert abs(got / exact - 1) <= 1e-14
 
 
-def test_seam_ratio_rounded_below_one_reads_as_a_zero_seam():
-    # the ratio of m's acosh rounds below 1 at these points, which raised a
-    # bare ValueError (math domain error)
-    assert torus_ortho(112.67272807547687, 38.179942287276994).m == 0.0
-    assert foursphere_ortho(43.41291930487799, 167.4608298209319).m == 0.0
+def test_seam_ratio_rounded_below_one_is_a_positive_seam():
+    # the acosh ratio of m rounded below 1 at these points, which raised a
+    # bare ValueError (math domain error) and later read m = 0; the
+    # positive-sum seam relation keeps m positive and accurate
+    k, b = 112.67272807547687, 38.179942287276994
+    assert _relative_error(torus_ortho(k, b).m, _pants_mp(k, b, b)[1]) <= 1e-15
+    c, a = 43.41291930487799, 167.4608298209319
+    assert _relative_error(foursphere_ortho(c, a).m, _pants_mp(c, c, a)[0]) <= 1e-15
     rng = random.Random(0)
     for _ in range(20_000):
         k, b = rng.uniform(40.0, 130.0), rng.uniform(20.0, 200.0)
         for ortho in (torus_ortho(k, b), foursphere_ortho(k, b)):
-            assert ortho.m >= 0.0 and ortho.p > 0.0 and ortho.q > 0.0
+            assert ortho.m > 0.0 and ortho.p > 0.0 and ortho.q > 0.0
 
 
 def test_covering_correspondence():
@@ -239,14 +283,82 @@ def test_ortho_rejects_nonpositive():
 @pytest.mark.parametrize(
     "call, lengths",
     [
-        (torus_ortho, (60.0, 1400.0)),  # m: inf / inf
+        (torus_ortho, (1e-6, 1400.0)),  # p: sinh(p/2) > cosh(700) / sinh(5e-7)
         (torus_ortho, (0.5, 1e10)),  # cosh itself overflows
         (foursphere_ortho, (0.5, 1e10)),
-        (foursphere_ortho, (60.0, 1400.0)),  # m: inf / inf
+        (foursphere_ortho, (1400.0, 1e-6)),  # p, as for the torus
         (pants_geometry, (0.5, 0.5, 1e10)),
-        (pants_geometry, (700.0, 700.0, 700.0)),  # d: a product overflows
+        (pants_geometry, (1e-6, 1400.0, 1400.0)),  # d1, as for the torus
     ],
 )
 def test_overflowing_trigonometry_is_refused(call, lengths):
     with pytest.raises(DomainError, match="overflow the float range"):
         call(*lengths)
+
+
+def test_once_overflowing_orthogeodesics_against_mpmath():
+    # refused while seams and self-perpendiculars were read from products of
+    # cosh: m of (60, 1400) was inf / inf and d of (700, 700, 700) took a
+    # product of three cosh(350).  The roots of the positive-sum relations
+    # keep every product in range
+    for got, exact in (
+        (foursphere_ortho(60.0, 1400.0), _foursphere_mp(60.0, 1400.0)),
+        (pants_geometry(700.0, 700.0, 700.0)[3:], _pants_mp(700.0, 700.0, 700.0)),
+    ):
+        for length, oracle in zip(got, exact):
+            assert _relative_error(length, oracle) <= 2e-16
+    for length, oracle in zip(torus_ortho(60.0, 1400.0), _torus_mp(60.0, 1400.0)):
+        assert _relative_error(length, oracle) <= 2e-15
+    # q ~ 4 e^{-700}: squared, it would underflow
+    assert abs(torus_ortho(0.5, 1400.0).q / 3.974722246730929e-304 - 1) <= 1e-14
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def test_orthogeodesics_against_mpmath():
+    # every length relative to its own size, however short: the acosh forms
+    # were off by O(1) (m1 of (0.0676, 41.70, 39.55) by 2.05), and torus m
+    # read 0 at large k
+    rng = random.Random(19)
+    for _ in range(600):
+        lengths = tuple(_log_uniform(rng, 1e-6, 700.0) for _ in range(3))
+        for got, exact in zip(pants_geometry(*lengths)[3:], _pants_mp(*lengths)):
+            assert _relative_error(got, exact) <= 2e-15, lengths
+    for _ in range(300):
+        k, b = _log_uniform(rng, 1e-6, 130.0), _log_uniform(rng, 1e-3, 700.0)
+        for got, exact in (
+            (torus_ortho(k, b), _torus_mp(k, b)),
+            (foursphere_ortho(k, b), _foursphere_mp(k, b)),
+        ):
+            for length, oracle in zip(got, exact):
+                assert _relative_error(length, oracle) <= 2e-15, (k, b)
+    # the acosh of a ratio rounded below 1 raised a bare ValueError here
+    lengths = (43.926249774039505, 43.926249774039505, 2.985045741791351)
+    for got, exact in zip(pants_geometry(*lengths)[3:], _pants_mp(*lengths)):
+        assert _relative_error(got, exact) <= 2e-15
+    assert math.isfinite(pants_sum_term(*lengths))
+
+
+def test_geometric_seams_meet_the_bracket_guard():
+    # sech^2(m/2) of a geometric seam stays within the guard's slack of
+    # 1 - e^{-k/2}; a seam through cosh((a_j - a_k)/2), with its rounded
+    # difference of two long lengths, overshot it at k ~ 1e-9, b ~ 600
+    rng = random.Random(0)
+    for _ in range(100_000):
+        k, b = _log_uniform(rng, 1e-9, 30.0), _log_uniform(rng, 0.01, 700.0)
+        torus = torus_ortho(k, b)
+        four = foursphere_ortho(0.5 * k, 2.0 * b)
+        term_ortho_torus(k, torus.m, torus.q)  # thm31's kernel
+        term_ortho_torus(k, four.m, four.p)  # four's kernel
+
+
+def test_isosceles_seams_are_equal_bit_for_bit():
+    # m1 and m2 of (c, c, a) both join a length-c boundary to the length-a
+    # one: the seam relation orders its two ends, so they agree exactly
+    rng = random.Random(0)
+    for _ in range(20_000):
+        c, a = _log_uniform(rng, 1e-6, 700.0), _log_uniform(rng, 1e-6, 700.0)
+        g = pants_geometry(c, c, a)
+        assert g.m1 == g.m2 and g.d1 == g.d2, (c, a)
