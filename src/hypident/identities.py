@@ -52,13 +52,13 @@ torus boundary k and an interior geodesic b, and
 
 `evaluate` and `iter_terms` share one path: enumerate the spectrum, take
 each geodesic's term from the kind's table kernel, which reads only its
-length and trace, and feed the terms in ascending trace order through one
-Neumaier (compensated) update, so the result is deterministic,
-order-dependence stays below 1e-14, and both give the same sum bit for bit
-(equal traces give equal terms).  `iter_terms` yields each record with its
-term and the running sum (the CLI's `terms`); `evaluate` sums the sorted
-columns of `spectrum_columns` and builds no record, with the collector as
-the caller left it: only two lists of untracked floats outlive the walk.
+length and trace, and round the exact sum of the terms once, so the result
+does not depend on the order of the terms and both give the same sum bit
+for bit.  `evaluate` sums the sorted columns of `spectrum_columns` with
+`math.fsum` and builds no record, with the collector as the caller left
+it: only two lists of untracked floats outlive the walk.  `iter_terms`
+yields each record with its term and the running sum (the CLI's `terms`),
+kept exactly as an int in units of 2^-1074 and rounded at each yield.
 """
 
 import enum
@@ -93,7 +93,6 @@ __all__ = [
     "iter_terms",
     "evaluate",
     "tail_estimate",
-    "compensated_sum",
 ]
 
 PI2_2 = pi * pi / 2.0
@@ -129,24 +128,6 @@ class IdentityReport(NamedTuple):
 
     def to_dict(self):
         return {**self._asdict(), "parameters": dict(self.parameters), "kind": self.kind.value}
-
-
-def _neumaier(values, total=0.0, compensation=0.0):
-    """Neumaier's compensated update over `values`, from (total, compensation)."""
-    for value in values:
-        step = total + value
-        if abs(total) >= abs(value):
-            compensation += (total - step) + value
-        else:
-            compensation += (value - step) + total
-        total = step
-    return total, compensation
-
-
-def compensated_sum(values) -> float:
-    """The compensated sum of `values` in feed order; equals the last `iter_terms` partial."""
-    total, compensation = _neumaier(values)
-    return total + compensation
 
 
 def _bracket(first, second, third):
@@ -212,8 +193,9 @@ def term_ortho_torus(k: float, m: float, q: float) -> float:
     cy = _sech2_half(m)
     # geometric seams approach equality like e^{-b}, to rounding for long b (by
     # at most 12 ulps over 400,000 seeded (k, b) in [1e-9, 30] x [0.01, 700]; 264
-    # for a seam through cosh((a_j - a_k)/2)): hence a relative slack of 2^-46
-    if cy > cx * (1.0 + 2.0**-46):
+    # for a seam through cosh((a_j - a_k)/2)): hence a relative slack of 2^-46.
+    # cx = cy = 0 (k below ~1e-323 and m >= 700) leaves d = 0: refused as well
+    if not cy < cx * (1.0 + 2.0**-46):
         raise DomainError(
             f"guard e^(-k/2) < tanh^2(m/2) violated (k={k!r}, m={m!r}): non-geometric input"
         )
@@ -331,7 +313,7 @@ def torus_contribution_partial(k: float, records) -> float:
         y = _lasso_guard(b, m)
         return 8.0 * (2.0 * lasso(exp(-b), y) + rogers(_sech2_half(p)))
 
-    return 4.0 * pi * pi - compensated_sum(term(record.length) for record in records)
+    return 4.0 * pi * pi - math.fsum(term(record.length) for record in records)
 
 
 # these three take the limit 0 before t * t or the pants trigonometry can overflow
@@ -398,7 +380,10 @@ def tail_estimate(k: float, cutoff: float) -> float:
     Reporting aid only: the brackets decay like e^{-b} empirically, but no
     proven tail bound backs this constant.
     """
-    return 4.0 * (cosh(0.5 * k) + 1.0) * exp(-cutoff) * (1.0 + cutoff)
+    try:
+        return 4.0 * (cosh(0.5 * k) + 1.0) * exp(-cutoff) * (1.0 + cutoff)
+    except OverflowError:
+        raise DomainError(f"tail estimate overflows at k={k!r}, cutoff={cutoff!r}") from None
 
 
 def iter_terms(
@@ -411,18 +396,20 @@ def iter_terms(
     """Yield (record, term, partial) over the spectrum of `triple`.
 
     Records come in ascending (trace, slope) order; `partial` is the
-    compensated sum of the terms yielded so far.  The kind, and the point
-    against it, are checked before the spectrum is enumerated, which happens
-    before the first yield.  The collector runs as the caller left it
-    between yields.
+    correctly rounded sum of the terms yielded so far, as `math.fsum` gives
+    it.  The kind, and the point against it, are checked before the
+    spectrum is enumerated, which happens before the first yield.  The
+    collector runs as the caller left it between yields.
     """
     k = triple.k
     kernel = check_point_kind(kind, k)[0]
-    total = compensation = 0.0
+    # the running sum, exactly, in units of 1/scale = 2^-1074, the least subnormal
+    exact, scale = 0, 2**1074  # bound once: the compiler does not fold 2**1074
     for record in enumerate_geodesics(triple, cutoff, max_records=max_records):
         term = kernel(k, record.length, record.trace)
-        total, compensation = _neumaier((term,), total, compensation)
-        yield record, term, total + compensation
+        n, d = term.as_integer_ratio()  # d = 2^e with e <= 1074
+        exact += n << (1075 - d.bit_length())
+        yield record, term, exact / scale  # int / int rounds correctly
 
 
 def evaluate(
@@ -434,7 +421,7 @@ def evaluate(
 ) -> IdentityReport:
     """Sum the `kind` terms over the spectrum of `triple` into a report.
 
-    The sum runs over the sorted columns of `spectrum_columns`, with no
+    `math.fsum` runs over the sorted columns of `spectrum_columns`, with no
     record built; its terms and sum are those of `iter_terms`, bit for bit.
     Four-holed-sphere kinds take the torus point through the two-to-one
     correspondence of interior geodesics: boundary c = k/2 and interior
@@ -443,7 +430,7 @@ def evaluate(
     k = triple.k
     kernel, _, target, reports_c = check_point_kind(kind, k)
     lengths, traces = spectrum_columns(triple, cutoff, max_records=max_records)
-    partial = compensated_sum(map(kernel, repeat(k), lengths, traces))
+    partial = math.fsum(map(kernel, repeat(k), lengths, traces))
     parameters = triple._asdict()
     if reports_c:
         parameters["c"] = 0.5 * k

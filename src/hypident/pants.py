@@ -40,7 +40,7 @@ functions in `identities`.  Trigonometry that overflows the float range
 """
 
 import math
-from math import asinh, cosh, exp, hypot, sinh, sqrt
+from math import asinh, cosh, exp, expm1, hypot, sinh, sqrt
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -178,4 +178,4 @@ def guard_threshold(half_param: float) -> float:
     for the one-holed torus.
     """
     _check_length("half_param", half_param)
-    return asinh(1.0 / sinh(half_param))
+    return asinh(2.0 * exp(-half_param) / -expm1(-2.0 * half_param))  # 1/sinh, past its overflow

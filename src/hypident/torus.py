@@ -145,8 +145,13 @@ def from_traces(x: float, y: float, k: float) -> TraceTriple:
             raise NonHyperbolicError(f"trace {name} must exceed 2, got {v!r}")
     if not (math.isfinite(k) and k >= 0.0):
         raise DomainError(f"boundary length k must be >= 0, got {k!r}")
-    rest = x * x + y * y - 2.0 + 2.0 * cosh(0.5 * k)
-    disc = (x * y) ** 2 - 4.0 * rest
+    try:  # cosh(k/2) and (xy)^2 raise OverflowError
+        rest = x * x + y * y - 2.0 + 2.0 * cosh(0.5 * k)
+        disc = (x * y) ** 2 - 4.0 * rest
+    except OverflowError:
+        raise DomainError(
+            f"overflow at x={x!r}, y={y!r}, k={k!r}: beyond the float range"
+        ) from None
     if disc < 0.0:
         raise NoRealStructureError(
             f"no real structure: discriminant {disc!r} < 0 for x={x!r}, y={y!r}, k={k!r}"
@@ -189,7 +194,7 @@ def fenchel_nielsen_matrices(fn: FenchelNielsen):
     """Explicit unit-determinant matrices (A, B) realizing (b, t, k)."""
     try:
         p = _crossing_scale(fn.b, fn.k)
-        q = sqrt(p * p - 1.0)
+        q = sqrt(0.5 * (cosh(0.5 * fn.k) + 1.0)) / sinh(0.5 * fn.b)  # no p^2 - 1 of a rounded p
         et = exp(0.5 * fn.t)
         a = ((exp(0.5 * fn.b), 0.0), (0.0, exp(-0.5 * fn.b)))
         b = ((p * et, q / et), (q * et, p / et))

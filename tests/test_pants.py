@@ -266,6 +266,14 @@ def test_guard_threshold_values_and_limit():
     assert guard_threshold(40.0) < 1e-15
 
 
+def test_guard_threshold_past_the_overflow_of_sinh():
+    # 1/sinh(h) = 2 e^{-h}/(1 - e^{-2h}): finite where sinh(h) overflows (h > ~710.5)
+    with mpmath.workdps(30):
+        want = float(mpmath.asinh(1 / mpmath.sinh(720)))
+    assert abs(guard_threshold(720.0) - want) <= 1e-10 * want
+    assert guard_threshold(800.0) == 0.0  # 2 e^{-800} is below the least subnormal
+
+
 def test_guard_threshold_rejects_nonpositive():
     with pytest.raises(DomainError):
         guard_threshold(0.0)

@@ -1,7 +1,8 @@
 """Property tests over log-uniform points, with fixed example generation."""
 
 import re
-from math import cosh, exp, log
+from math import cosh, exp, fsum, log
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,13 +13,14 @@ from hypident import (
     FenchelNielsen,
     GeodesicRecord,
     IdentityKind,
-    compensated_sum,
     evaluate,
     from_fenchel_nielsen,
+    identities,
     identity_term,
     iter_terms,
+    trace_triple,
 )
-from hypident.identities import _neumaier, check_point_kind
+from hypident.identities import check_point_kind
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
@@ -36,11 +38,15 @@ def test_orthogeodesic_kinds_match_thm11(log_k, log_b):
         assert abs(identity_term(kind, k, record) - reference) <= 1e-14
 
 
+# 36 records below length 12, one for each term the strategy below draws
+MODULAR = trace_triple(3.0, 3.0, 3.0)
+
+
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(
     st.lists(
         st.one_of(
-            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(-1e300, 1e300),  # no prefix of 30 overflows
             st.floats(-1e-305, 1e-305),  # subnormals and their neighbours
             st.sampled_from([1e16, -1e16, 1.0, -1.0, 0.0, -0.0]),
         ),
@@ -50,16 +56,23 @@ def test_orthogeodesic_kinds_match_thm11(log_k, log_b):
 @example([1e16, 1.0, -1e16])
 @example([5e-324, -1.5e-323, 2.2250738585072014e-308, -1e-310])
 @example([1e300, -3.5, 1e-300, -1e300, 2.0])
+# a Neumaier update returns -4.000000000000001e+100 here; the exact sum rounds to -4e+100
+@example(
+    [0.10000000000000003, -1.0000000000000002e100, 9007199254740992.0, 3e16, -3.0000000000000002e100]
+)
 @example([-0.0])
 @example([])
-def test_compensated_sum_is_the_last_running_sum(values):
-    # one Neumaier update serves both the sum and iter_terms' one-element
-    # steps: they agree bit for bit, signed zeros included
-    total = compensation = last = 0.0
-    for value in values:
-        total, compensation = _neumaier((value,), total, compensation)
-        last = total + compensation
-    assert compensated_sum(values).hex() == last.hex()
+def test_iter_terms_running_sum_is_correctly_rounded(values):
+    # a kernel that returns `values` in turn: each partial of iter_terms is the
+    # correctly rounded sum of its prefix, the bits of fsum, signed zeros included
+    feed = iter(values)
+    row = (lambda k, b, t: next(feed), True, 0.5, False)
+    with mock.patch.dict(identities._IDENTITIES, {IdentityKind.MCSHANE: row}):
+        steps = list(zip(values, iter_terms(IdentityKind.MCSHANE, MODULAR, 12.0)))
+    assert len(steps) == len(values)
+    for i, (value, (_, term, partial)) in enumerate(steps, 1):
+        assert term.hex() == value.hex()
+        assert partial.hex() == fsum(values[:i]).hex()
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)

@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
-from math import acosh, cosh, inf, nan, sqrt
+from math import acosh, cosh, exp, inf, isfinite, log, nan, sqrt
 
+import mpmath
 import pytest
 
 from hypident import (
@@ -9,7 +10,9 @@ from hypident import (
     FenchelNielsen,
     NoRealStructureError,
     NonHyperbolicError,
+    Slope,
     boundary_length,
+    brute_force_trace,
     enumerate_geodesics,
     fenchel_nielsen_matrices,
     from_fenchel_nielsen,
@@ -187,6 +190,8 @@ def test_from_traces_refusals_keep_their_messages():
         (nan, 0.0, NonHyperbolicError, "trace x must exceed 2, got nan"),
         (3.0, -1.0, DomainError, "boundary length k must be >= 0, got -1.0"),
         (3.0, inf, DomainError, "boundary length k must be >= 0, got inf"),
+        (3.0, 1500.0, DomainError, "overflow at x=3.0, y=3.0, k=1500.0: beyond the float range"),
+        (1e200, 1.0, DomainError, "overflow at x=1e[+]200, y=3.0, k=1.0: beyond the float range"),
     ):
         with pytest.raises(error, match=f"^{message}$"):
             from_traces(x, 3.0, k)
@@ -269,6 +274,23 @@ def test_matrix_recipe_traces_and_commutator():
         # commutator trace = kappa - 2
         comm = mat_mul(mat_mul(a, b), mat_mul(mat_inv(a), mat_inv(b)))
         assert abs(mat_trace(comm) - (triple.kappa - 2.0)) <= 1e-9 * max(1.0, abs(triple.kappa))
+
+
+def test_matrix_off_diagonal_against_mpmath():
+    # q = sqrt(p^2 - 1) from a rounded p lost all accuracy by b ~ 36 (B read the
+    # identity at b = 40); q = sqrt((cosh(k/2) + 1)/2) / sinh(b/2) keeps it
+    rng = random.Random(36)
+    with mpmath.workdps(30):
+        for _ in range(2000):
+            b = exp(rng.uniform(log(0.01), log(700.0)))
+            k = exp(rng.uniform(log(1e-6), log(60.0)))
+            q = fenchel_nielsen_matrices(FenchelNielsen(b, 0.0, k))[1][0][1]
+            half_k, half_b = mpmath.mpf(k) / 2, mpmath.mpf(b) / 2
+            want = mpmath.sqrt((mpmath.cosh(half_k) + 1) / 2) / mpmath.sinh(half_b)
+            assert abs(q - want) <= 1e-15 * want, (b, k)
+    # p * p - 1 rounded below 0 here: a bare ValueError from sqrt
+    fn = FenchelNielsen(50.27509620696496, 0.0, 8.924357532655669e-09)
+    assert isfinite(brute_force_trace(fn, Slope(1, 1)))
 
 
 def test_length_from_trace():
