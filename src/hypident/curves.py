@@ -31,10 +31,12 @@ of traces away from the minimal triangle justifies this, and the
 pruning-soundness tests enforce it.  A kept child (queued, or followed
 in the twist run) whose trace is <= 2 cannot belong to a hyperbolic
 surface: it is refused with `NonHyperbolicError` where it is formed,
-rather than walked on to the record cap.  A NaN trace (inf - inf from an
-infinite trace in an unvalidated root) fails both tests, so its child is
-kept, with its subtree, and ends in a typed refusal instead of silently
-losing a subtree.
+rather than walked on to the record cap.  Every walk starts at
+`reduce_to_minimal(triple)`, whose traces `trace_triple` has checked to
+be finite and > 2 (a product that overflows to inf is pruned).  A NaN
+trace (inf - inf), met only where a test patches the reduction out,
+fails both tests, so its subtree is kept and ends in a typed refusal
+instead of being silently lost.
 
 The walk emits into two lists, in emission order: the traces, one float
 per record, and the slopes as *stretches*.  A stretch (p, q, bp, bq, n)
@@ -52,9 +54,8 @@ stretches into `Slope` tuples, builds the records in bulk, and sorts them
 by (trace, slope), and so by length; `spectrum_columns` builds no slope,
 and sorts the traces as plain floats, into the same order of lengths and
 traces.  The walk forms no length: both functions form each one with
-`torus.length_from_trace`, which refuses a NaN or <= 2 trace.  Such a
-trace gets through the walk only as a NaN or from the root triangle of an
-unreduced, unvalidated triple.
+`torus.length_from_trace`, which refuses a NaN or <= 2 trace; from a
+validated root, such a trace cannot get through the walk.
 
 Slope arithmetic is exact (Python integers); traces are binary64.
 
@@ -203,13 +204,14 @@ def _assert_distinct(stretches, total):
     assert len(seen) == total, "a slope was enumerated twice"
 
 
-def _walk(triple, length_cutoff, reduce, max_records):
+def _walk(triple, length_cutoff, max_records):
     """The stretches and traces within the cutoff, in emission order.
 
+    The walk starts at `reduce_to_minimal(triple)`, looked up at call time.
     Stretch i covers the next n_i traces (see the module docstring); the
     stretches hold as many slopes as there are traces, all distinct.  A
-    kept child trace <= 2 is refused here; a NaN trace, or a trace of the
-    root triangle, is returned as it is, for `length_from_trace` to refuse.
+    kept child trace <= 2 is refused here; a NaN trace is returned as it
+    is, for `length_from_trace` to refuse.
     """
     if not length_cutoff > 0.0:
         raise DomainError(f"length cutoff must be positive, got {length_cutoff!r}")
@@ -218,7 +220,7 @@ def _walk(triple, length_cutoff, reduce, max_records):
             f"length cutoff must be <= {_MAX_CUTOFF} for a finite trace cutoff,"
             f" got {length_cutoff!r}"
         )
-    root = reduce_to_minimal(triple) if reduce else triple
+    root = reduce_to_minimal(triple)
     x0, y0, z0 = root.x, root.y, root.z
     trace_cutoff = 2.0 * cosh(0.5 * length_cutoff)
 
@@ -272,36 +274,28 @@ def _walk(triple, length_cutoff, reduce, max_records):
     return stretches, traces
 
 
-def enumerate_geodesics(
-    triple: TraceTriple,
-    length_cutoff: float,
-    *,
-    reduce: bool = True,
-    max_records: int = DEFAULT_MAX_RECORDS,
-):
+def enumerate_geodesics(triple: TraceTriple, length_cutoff: float):
     """All simple closed geodesics of length <= `length_cutoff`, each once.
 
     Records are sorted by (trace, slope) ascending, slopes in rational
     order, and so by length; distinct slopes of equal length stay distinct
     records.  `spectrum_columns` gives the same lengths and traces in the
-    same order.  Slopes are assigned in the marking of the tree root: the
-    root edge joins 0/1 and 1/0, with traces x and y, and its two
-    triangles add 1/1 (trace z) and -1/1 (trace xy - z).  By default the
-    root is `reduce_to_minimal(triple)`; pass ``reduce=False`` to keep the
-    marking of `triple` itself.  The module docstring describes the walk.
+    same order.  Slopes are assigned in the marking of the tree root,
+    `reduce_to_minimal(triple)`: the root edge joins 0/1 and 1/0, with
+    traces x and y, and its two triangles add 1/1 (trace z) and -1/1
+    (trace xy - z).  The module docstring describes the walk.
 
-    A cutoff outside (0, 1419] is refused with `DomainError`.  A kept
-    child trace <= 2 raises `NonHyperbolicError` where the walk forms it.
-    A NaN trace is kept, with its subtree, and ends in `ResourceLimitError`
-    at `max_records` or in the `NonHyperbolicError` of `length_from_trace`,
-    which forms every length here as the records are built.
+    The reduction refuses a triple that `trace_triple` refuses, a cutoff
+    outside (0, 1419] raises `DomainError`, more than `DEFAULT_MAX_RECORDS`
+    records (read at call time) `ResourceLimitError`, and a kept child
+    trace <= 2 `NonHyperbolicError`, where the walk forms it.
 
     The cyclic garbage collector is paused only from the slope expansion
     through the sort, where the tracked tuples are made, and so also where
     the lengths are formed; the caller's state is restored on return and on
     every raise.
     """
-    stretches, traces = _walk(triple, length_cutoff, reduce, max_records)
+    stretches, traces = _walk(triple, length_cutoff, DEFAULT_MAX_RECORDS)
     # unpaused, the 215,174 slopes and records of FN(24.8, 0, 0) at cutoff 25.5
     # trigger ~920 collections, near half the call; the walk's tuples trigger none
     was_enabled = gc.isenabled()
@@ -332,7 +326,7 @@ def spectrum_columns(
     traces sorted as plain floats, then mapped to lengths by
     `length_from_trace`.
     """
-    traces = _walk(triple, length_cutoff, True, max_records)[1]  # frees the stretches
+    traces = _walk(triple, length_cutoff, max_records)[1]  # frees the stretches
     traces.sort()
     return list(map(length_from_trace, traces)), traces
 

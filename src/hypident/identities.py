@@ -192,8 +192,8 @@ def term_ortho_torus(k: float, m: float, q: float) -> float:
     cx = -expm1(-0.5 * k)
     cy = _sech2_half(m)
     # geometric seams approach equality like e^{-b}, to rounding for long b (by
-    # at most 12 ulps over 400,000 seeded (k, b) in [1e-9, 30] x [0.01, 700]; 264
-    # for a seam through cosh((a_j - a_k)/2)): hence a relative slack of 2^-46.
+    # at most 20 ulps over 400,000 seeded (k, b) in [1e-9, 30] x [0.01, 700], and
+    # 21 for the four-holed-sphere seam at (k/2, 2b)): hence a relative slack of 2^-46.
     # cx = cy = 0 (k below ~1e-323 and m >= 700) leaves d = 0: refused as well
     if not cy < cx * (1.0 + 2.0**-46):
         raise DomainError(
@@ -375,37 +375,34 @@ def identity_term(kind: IdentityKind, k: float, record: GeodesicRecord) -> float
 
 
 def tail_estimate(k: float, cutoff: float) -> float:
-    """Heuristic bound C e^{-L} (1 + L) with C = 4 (cosh(k/2) + 1).
+    """Heuristic scale C e^{-L} (1 + L) of the truncation defect, C = 4 (cosh(k/2) + 1).
 
-    Reporting aid only: the brackets decay like e^{-b} empirically, but no
-    proven tail bound backs this constant.
+    Reporting aid only, not a bound: measured defects run from 0.04 to 670
+    times it (mcshane on the modular torus and on FN(24.8, 0, 0)).
     """
+    if not (0.0 <= k < math.inf and 0.0 < cutoff < math.inf):
+        raise DomainError(f"tail estimate needs finite k >= 0, cutoff > 0; got {k!r}, {cutoff!r}")
     try:
         return 4.0 * (cosh(0.5 * k) + 1.0) * exp(-cutoff) * (1.0 + cutoff)
     except OverflowError:
         raise DomainError(f"tail estimate overflows at k={k!r}, cutoff={cutoff!r}") from None
 
 
-def iter_terms(
-    kind: IdentityKind,
-    triple: TraceTriple,
-    cutoff: float,
-    *,
-    max_records: int = DEFAULT_MAX_RECORDS,
-):
+def iter_terms(kind: IdentityKind, triple: TraceTriple, cutoff: float):
     """Yield (record, term, partial) over the spectrum of `triple`.
 
-    Records come in ascending (trace, slope) order; `partial` is the
-    correctly rounded sum of the terms yielded so far, as `math.fsum` gives
-    it.  The kind, and the point against it, are checked before the
-    spectrum is enumerated, which happens before the first yield.  The
-    collector runs as the caller left it between yields.
+    Records come from `enumerate_geodesics`, under its record cap, in
+    ascending (trace, slope) order; `partial` is the correctly rounded sum
+    of the terms yielded so far, as `math.fsum` gives it.  The kind, and
+    the point against it, are checked before the spectrum is enumerated,
+    which happens before the first yield.  The collector runs as the
+    caller left it between yields.
     """
     k = triple.k
     kernel = check_point_kind(kind, k)[0]
     # the running sum, exactly, in units of 1/scale = 2^-1074, the least subnormal
     exact, scale = 0, 2**1074  # bound once: the compiler does not fold 2**1074
-    for record in enumerate_geodesics(triple, cutoff, max_records=max_records):
+    for record in enumerate_geodesics(triple, cutoff):
         term = kernel(k, record.length, record.trace)
         n, d = term.as_integer_ratio()  # d = 2^e with e <= 1074
         exact += n << (1075 - d.bit_length())

@@ -148,6 +148,8 @@ def from_traces(x: float, y: float, k: float) -> TraceTriple:
     try:  # cosh(k/2) and (xy)^2 raise OverflowError
         rest = x * x + y * y - 2.0 + 2.0 * cosh(0.5 * k)
         disc = (x * y) ** 2 - 4.0 * rest
+        if not math.isfinite(disc):  # a product overflows to inf without OverflowError
+            raise OverflowError
     except OverflowError:
         raise DomainError(
             f"overflow at x={x!r}, y={y!r}, k={k!r}: beyond the float range"

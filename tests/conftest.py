@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from hypident import curves
+
 sys.path.insert(0, os.path.dirname(__file__))
 
 
@@ -20,3 +22,14 @@ def collector_left_enabled():
     if not gc.isenabled():
         gc.enable()
         pytest.fail("the test left the cyclic garbage collector disabled")
+
+
+@pytest.fixture
+def unreduced(monkeypatch):
+    """Walk the spectrum from the given triple itself, in its own marking.
+
+    Every walk starts at `curves.reduce_to_minimal(triple)`, which
+    validates the triple; patched to the identity, it lets a test root the
+    walk at a marked or an unvalidated triple.
+    """
+    monkeypatch.setattr(curves, "reduce_to_minimal", lambda triple: triple)

@@ -2,6 +2,7 @@ import gc
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import acosh, cosh, gcd, inf, nan, sinh, sqrt
 
 import pytest
@@ -179,20 +180,24 @@ def test_equal_lengths_of_unequal_traces_come_in_trace_order():
     assert against[0] == (Slope(1, 1), Slope(-1, 1))
 
 
-def test_enumerate_resource_cap():
-    with pytest.raises(ResourceLimitError):
-        enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 25.0, max_records=10)
+def test_enumerate_resource_cap(monkeypatch):
+    # the cap is read at call time
+    monkeypatch.setattr(curves, "DEFAULT_MAX_RECORDS", 10)
+    with pytest.raises(ResourceLimitError, match="exceeded 10 records"):
+        enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 25.0)
 
 
-def test_resource_cap_counts_twist_run_emissions():
+def test_resource_cap_counts_twist_run_emissions(monkeypatch):
     # on a thin point nearly every record is emitted inside a twist run, so
     # the cap must be checked there, not only once per queue entry
     triple = from_fenchel_nielsen(FenchelNielsen(8.0, 0.0, 0.0))
     count = len(enumerate_geodesics(triple, 20.0))
     assert count > 400
-    assert len(enumerate_geodesics(triple, 20.0, max_records=count)) == count
+    monkeypatch.setattr(curves, "DEFAULT_MAX_RECORDS", count)
+    assert len(enumerate_geodesics(triple, 20.0)) == count
     assert len(spectrum_columns(triple, 20.0, max_records=count)[0]) == count
-    refused = _refusal(lambda: enumerate_geodesics(triple, 20.0, max_records=count - 1))
+    monkeypatch.setattr(curves, "DEFAULT_MAX_RECORDS", count - 1)
+    refused = _refusal(lambda: enumerate_geodesics(triple, 20.0))
     assert refused[0] is ResourceLimitError
     assert _refusal(lambda: spectrum_columns(triple, 20.0, max_records=count - 1)) == refused
 
@@ -200,23 +205,21 @@ def test_resource_cap_counts_twist_run_emissions():
 def test_resource_cap_counts_root_emissions():
     # the roots 0/1 and 1/0 are the only records here: the walk emits none
     triple = trace_triple(3.0, 3.0, 4.5)
-    assert len(enumerate_geodesics(triple, 2.0 * acosh(2.0), max_records=2)) == 2
+    assert len(spectrum_columns(triple, 2.0 * acosh(2.0), max_records=2)[0]) == 2
     with pytest.raises(ResourceLimitError):
-        enumerate_geodesics(triple, 2.0 * acosh(2.0), max_records=1)
+        spectrum_columns(triple, 2.0 * acosh(2.0), max_records=1)
 
 
 @pytest.mark.parametrize(
     "b, t, k, cutoff",
     [(0.02, 0.0, 1.0, 25.0), (0.05, 0.013, 0.0, 25.0), (1.2, 0.4, 1.5, 30.0)],
 )
-def test_twist_family_matches_closed_form(b, t, k, cutoff):
+def test_twist_family_matches_closed_form(b, t, k, cutoff, unreduced):
     # in the Fenchel-Nielsen marking, the curve crossing A once and twisted
     # q times about it has slope (+-1, q) and trace 2 s cosh((t +- q b)/2),
     # the closed form of the recurrence y_{n+1} = x y_n - y_{n-1}
     s = sqrt((cosh(b) + cosh(0.5 * k)) / (2.0 * sinh(0.5 * b) ** 2))
-    records = enumerate_geodesics(
-        from_fenchel_nielsen(FenchelNielsen(b, t, k)), cutoff, reduce=False
-    )
+    records = enumerate_geodesics(from_fenchel_nielsen(FenchelNielsen(b, t, k)), cutoff)
     family = [r for r in records if abs(r.slope.p) == 1]
     assert len(family) >= 40
     for r in family:
@@ -240,10 +243,12 @@ def test_twist_family_matches_closed_form(b, t, k, cutoff):
         ), 12.0, False),
     ],
 )
-def test_walk_matches_a_plain_breadth_first_walk(triple, cutoff, reduce):
+def test_walk_matches_a_plain_breadth_first_walk(triple, cutoff, reduce, request):
     root = reduce_to_minimal(triple) if reduce else triple
     expected = Counter((slope, t.hex()) for slope, t in reference_walk(root, cutoff))
-    records = enumerate_geodesics(triple, cutoff, reduce=reduce)
+    if not reduce:
+        request.getfixturevalue("unreduced")
+    records = enumerate_geodesics(triple, cutoff)
     assert Counter(((r.slope.p, r.slope.q), r.trace.hex()) for r in records) == expected
 
 
@@ -275,48 +280,55 @@ def test_spectrum_columns_builds_no_slope(monkeypatch):
         enumerate_geodesics(triple, 20.0)
 
 
-def test_enumerate_refuses_a_child_trace_at_most_2():
+def test_enumerate_refuses_a_child_trace_at_most_2(unreduced, monkeypatch):
     # unreduced wrong-kappa roots whose walks form a negative child trace: it
     # is refused where it is formed, before the walk runs on to the record cap
     huge = trace_triple(13685.580536680813, 274139491.392735, 3751758067708.733)
+    monkeypatch.setattr(curves, "DEFAULT_MAX_RECORDS", 20_000)
     with pytest.raises(NonHyperbolicError, match="slope -1/2 must exceed 2, got -92.66"):
-        enumerate_geodesics(huge, 14.0, reduce=False, max_records=20_000)
+        enumerate_geodesics(huge, 14.0)
     twisted = from_fenchel_nielsen(
         FenchelNielsen(17.673630425906918, -43.28413822646521, 0.19816199865804)
     )
+    monkeypatch.setattr(curves, "DEFAULT_MAX_RECORDS", 200_000)
     with pytest.raises(NonHyperbolicError, match="got -30.17"):
-        enumerate_geodesics(twisted, 1.1076, reduce=False, max_records=200_000)
+        enumerate_geodesics(twisted, 1.1076)
     # a step of a twist run, not a queued child, forms the bad trace
     run_step = TraceTriple(4.217408995868223, 2.0804290307027227, 2.359975183840471, 0.0, 0.0)
     with pytest.raises(
         NonHyperbolicError,
         match=r"^trace of slope 2/1 must exceed 2, got 0\.692351888331487: not a hyperbolic",
     ):
-        enumerate_geodesics(run_step, 6.0, reduce=False)
+        enumerate_geodesics(run_step, 6.0)
 
 
-def test_enumerate_keeps_nan_children():
-    # an unvalidated root with infinite traces: inf * 3 - inf gives NaN
-    # children before any trace <= 2.  The prune test and the child refusal
-    # both let NaN through, so the walk keeps those subtrees (NaN throughout)
-    # and hits the record cap instead of returning a spectrum with holes
+def test_enumerate_keeps_nan_children(request, monkeypatch):
+    # an unvalidated root with infinite traces: the reduction refuses it
+    # before any walk.  Walked unreduced, inf * 3 - inf gives NaN children
+    # before any trace <= 2.  The prune test and the child refusal both let
+    # NaN through, so the walk keeps those subtrees (NaN throughout) and
+    # hits the record cap instead of returning a spectrum with holes
     root = TraceTriple(inf, inf, 3.0, nan, 0.0)
+    with pytest.raises(NonHyperbolicError, match="^trace x must exceed 2, got inf$"):
+        enumerate_geodesics(root, 4.0)
+    request.getfixturevalue("unreduced")
+    monkeypatch.setattr(curves, "DEFAULT_MAX_RECORDS", 1_000)
     with pytest.raises(ResourceLimitError):
-        enumerate_geodesics(root, 4.0, reduce=False, max_records=1_000)
+        enumerate_geodesics(root, 4.0)
 
 
-def test_record_pass_refuses_a_bad_trace():
+def test_record_pass_refuses_a_bad_trace(unreduced):
     # an unvalidated root whose walk ends with the trace 2 of slope 1/0 as
     # its only record: the refusal is the one of `length_from_trace`
     root = TraceTriple(10.0, 2.0, 10.0, 4.0, 0.0)
     with pytest.raises(NonHyperbolicError, match="hyperbolic element, got 2.0$"):
-        enumerate_geodesics(root, 4.0, reduce=False)
+        enumerate_geodesics(root, 4.0)
 
 
-def test_collector_is_paused_through_the_record_pass(monkeypatch):
+def test_collector_is_paused_through_the_record_pass(monkeypatch, unreduced):
     # `enumerate_geodesics` turns traces into lengths inside its pause, and a
     # raise there restores the collector; `spectrum_columns` does so with
-    # the collector as the caller left it
+    # the collector as the caller left it.  (3, 3, 3) is its own reduction
     seen = []
     length_from_trace = curves.length_from_trace
 
@@ -336,21 +348,20 @@ def test_collector_is_paused_through_the_record_pass(monkeypatch):
     with pytest.raises(ArithmeticError, match="inside the pause"):
         enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 10.0)
     assert gc.isenabled()
-    # `length_from_trace` refuses a bad trace, alike for both;
-    # `spectrum_columns` always reduces, so the reduction is patched out
+    # `length_from_trace` refuses a bad trace of an unvalidated root, alike for both
     monkeypatch.setattr(curves, "length_from_trace", length_from_trace)
-    monkeypatch.setattr(curves, "reduce_to_minimal", lambda triple: triple)
     root = TraceTriple(10.0, 2.0, 10.0, 4.0, 0.0)
     refused = _refusal(lambda: enumerate_geodesics(root, 4.0))
     assert refused[0] is NonHyperbolicError
     assert _refusal(lambda: spectrum_columns(root, 4.0)) == refused
 
 
-def test_collector_is_restored_after_the_record_cap():
-    for spectrum in (enumerate_geodesics, spectrum_columns):
+def test_collector_is_restored_after_the_record_cap(monkeypatch):
+    monkeypatch.setattr(curves, "DEFAULT_MAX_RECORDS", 5)
+    for spectrum in (enumerate_geodesics, partial(spectrum_columns, max_records=5)):
         assert gc.isenabled()
         with pytest.raises(ResourceLimitError):
-            spectrum(trace_triple(3.0, 3.0, 3.0), 25.0, max_records=5)
+            spectrum(trace_triple(3.0, 3.0, 3.0), 25.0)
         assert gc.isenabled()
 
 
@@ -456,11 +467,11 @@ def test_brute_force_oracle_agreement():
         assert checked >= 20
 
 
-def test_brute_force_oracle_with_twist_unreduced():
+def test_brute_force_oracle_with_twist_unreduced(unreduced):
     # nonzero twist: keep the tree rooted at the marked triple so slope
     # labels stay in the Fenchel-Nielsen marking
     fn = FenchelNielsen(1.7, 0.9, 2.3)
-    records = enumerate_geodesics(from_fenchel_nielsen(fn), 18.0, reduce=False)
+    records = enumerate_geodesics(from_fenchel_nielsen(fn), 18.0)
     checked = 0
     for record in records:
         if record.slope.q <= 8 and abs(record.slope.p) <= 50:

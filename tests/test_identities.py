@@ -572,6 +572,10 @@ def test_evaluate_report_bookkeeping():
     # cosh(k/2) overflows: a typed refusal, not an OverflowError
     with pytest.raises(DomainError, match=re.escape("tail estimate overflows at k=1500")):
         tail_estimate(1500, 10)
+    # k outside [0, inf) or a cutoff outside (0, inf): no negative or NaN scale
+    for k, cutoff in ((0.5, -30.0), (0.5, nan), (nan, 10.0), (-1.0, 10.0)):
+        with pytest.raises(DomainError, match="tail estimate needs finite k >= 0, cutoff > 0"):
+            tail_estimate(k, cutoff)
     payload = report.to_dict()
     assert payload["kind"] == "thm12"
     assert payload["term_count"] == report.term_count
@@ -665,21 +669,17 @@ def test_thin_cusp_mcshane_sum_is_pinned():
     assert report.partial_sum.hex() == "0x1.ffffafb651a8bp-2"
 
 
-def _evaluate_record_pass_refusal(monkeypatch):
-    # an unvalidated root, kept unreduced, whose only record has trace 2
-    monkeypatch.setattr(curves, "reduce_to_minimal", lambda triple: triple)
-    evaluate(IdentityKind.MCSHANE, TraceTriple(10.0, 2.0, 10.0, 4.0, 0.0), 4.0)
-
-
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-def test_evaluate_restores_the_collector_state(enabled, monkeypatch):
+def test_evaluate_restores_the_collector_state(enabled, unreduced):
+    # MODULAR is its own reduction; the unvalidated root's only record has trace 2
+    bad_root = TraceTriple(10.0, 2.0, 10.0, 4.0, 0.0)
     calls = [
         (None, "", lambda: evaluate(IdentityKind.THM12, MODULAR, 10.0)),
         (DomainError, "needs boundary length", lambda: evaluate(IdentityKind.THM11, MODULAR, 10.0)),
         (ResourceLimitError, "exceeded 5 records",
          lambda: evaluate(IdentityKind.THM12, MODULAR, 25.0, max_records=5)),
         (NonHyperbolicError, "hyperbolic element, got 2.0$",
-         lambda: _evaluate_record_pass_refusal(monkeypatch)),
+         lambda: evaluate(IdentityKind.MCSHANE, bad_root, 4.0)),
     ]
     if not enabled:
         gc.disable()
@@ -725,9 +725,14 @@ def test_iter_terms_rejects_cusped_kind_at_holed_point():
             next(iter_terms(kind, HOLED, 10.0))
 
 
-def test_iter_terms_passes_max_records_to_enumeration():
-    with pytest.raises(ResourceLimitError):
-        next(iter_terms(IdentityKind.THM12, MODULAR, 25.0, max_records=10))
-    with pytest.raises(ResourceLimitError):
+def test_iter_terms_and_evaluate_refuse_alike_at_the_record_cap(monkeypatch):
+    # `iter_terms` walks under the cap `curves.DEFAULT_MAX_RECORDS`, read at call time
+    monkeypatch.setattr(curves, "DEFAULT_MAX_RECORDS", 10)
+    with pytest.raises(ResourceLimitError) as by_iter:
+        next(iter_terms(IdentityKind.THM12, MODULAR, 25.0))
+    with pytest.raises(ResourceLimitError) as by_evaluate:
         evaluate(IdentityKind.THM12, MODULAR, 25.0, max_records=10)
-    assert len(list(iter_terms(IdentityKind.THM12, MODULAR, 25.0, max_records=174))) == 174
+    assert str(by_iter.value) == str(by_evaluate.value)
+    monkeypatch.setattr(curves, "DEFAULT_MAX_RECORDS", 174)
+    assert len(list(iter_terms(IdentityKind.THM12, MODULAR, 25.0))) == 174
+    assert evaluate(IdentityKind.THM12, MODULAR, 25.0, max_records=174).term_count == 174

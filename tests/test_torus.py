@@ -185,16 +185,21 @@ def test_from_traces_negative_discriminant():
 
 
 def test_from_traces_refusals_keep_their_messages():
-    for x, k, error, message in (
-        (2.0, 0.0, NonHyperbolicError, "trace x must exceed 2, got 2.0"),
-        (nan, 0.0, NonHyperbolicError, "trace x must exceed 2, got nan"),
-        (3.0, -1.0, DomainError, "boundary length k must be >= 0, got -1.0"),
-        (3.0, inf, DomainError, "boundary length k must be >= 0, got inf"),
-        (3.0, 1500.0, DomainError, "overflow at x=3.0, y=3.0, k=1500.0: beyond the float range"),
-        (1e200, 1.0, DomainError, "overflow at x=1e[+]200, y=3.0, k=1.0: beyond the float range"),
+    beyond = ": beyond the float range"
+    for x, y, k, error, message in (
+        (2.0, 3.0, 0.0, NonHyperbolicError, "trace x must exceed 2, got 2.0"),
+        (nan, 3.0, 0.0, NonHyperbolicError, "trace x must exceed 2, got nan"),
+        (3.0, 3.0, -1.0, DomainError, "boundary length k must be >= 0, got -1.0"),
+        (3.0, 3.0, inf, DomainError, "boundary length k must be >= 0, got inf"),
+        (3.0, 3.0, 1500.0, DomainError, "overflow at x=3.0, y=3.0, k=1500.0" + beyond),
+        (1e200, 3.0, 1.0, DomainError, "overflow at x=1e[+]200, y=3.0, k=1.0" + beyond),
+        # an intermediate reaches inf without OverflowError: 2 cosh(709.5), or
+        # (xy)^2 - 4 rest = inf - inf
+        (3.0, 3.0, 1419.0, DomainError, "overflow at x=3.0, y=3.0, k=1419.0" + beyond),
+        (1e160, 1e160, 1.0, DomainError, "overflow at x=1e[+]160, y=1e[+]160, k=1.0" + beyond),
     ):
         with pytest.raises(error, match=f"^{message}$"):
-            from_traces(x, 3.0, k)
+            from_traces(x, y, k)
 
 
 def test_from_traces_third_trace_below_float_resolution():
