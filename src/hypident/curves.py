@@ -49,13 +49,15 @@ No slope is built in the walk: the vectors of a child are formed only
 when it is queued or refused.  After the walk, an integer key checks
 that no slope was emitted twice: (p, q) -> q m + p, with m - 1 twice the
 largest |p0| + (n - 1)|bp| of a stretch, is one to one, and the keys of
-a stretch are one `range`.  `enumerate_geodesics` then expands the
+a stretch are one `range`.  A stretch no longer than the number of
+stretches puts its keys in a set; a longer one, a thin twist run, stays
+a `range`, met with the set by `in` and with each other long one as two
+arithmetic progressions.  `enumerate_geodesics` then expands the
 stretches into `Slope` tuples, builds the records in bulk, and sorts them
-by (trace, slope), and so by length; `spectrum_columns` builds no slope,
-and sorts the traces as plain floats, into the same order of lengths and
-traces.  The walk forms no length: both functions form each one with
-`torus.length_from_trace`, which refuses a NaN or <= 2 trace; from a
-validated root, such a trace cannot get through the walk.
+by (trace, slope), and so by length; `sorted_traces` sorts the traces as
+plain floats.  Neither the walk nor `sorted_traces` forms a length: each
+is formed with `torus.length_from_trace`, which refuses a NaN or <= 2
+trace; from a validated root, such a trace cannot get through the walk.
 
 Slope arithmetic is exact (Python integers); traces are binary64.
 
@@ -91,7 +93,7 @@ __all__ = [
     "markov_child",
     "reduce_to_minimal",
     "enumerate_geodesics",
-    "spectrum_columns",
+    "sorted_traces",
     "brute_force_trace",
     "DEFAULT_MAX_RECORDS",
 ]
@@ -188,30 +190,47 @@ def _non_hyperbolic_child(p, q, trace):
     )
 
 
+def _progressions_meet(r, s):
+    """Whether the ranges r and s, both of positive step, share a value."""
+    g = gcd(r.step, s.step)
+    i, rest = divmod(s.start - r.start, g)
+    # r[i] is on the progression of s for i = (s.start - r.start)/g (r.step/g)^-1 mod s.step/g
+    x = r.start + i * pow(r.step // g, -1, s.step // g) % (s.step // g) * r.step
+    x = max(x, s.start + (x - s.start) % (r.step // g * s.step))  # least common value >= both
+    return not rest and x in r and x in s
+
+
 def _assert_distinct(stretches, total):
     """Assert that the `total` slopes of `stretches` are distinct."""
     # (p, q) -> q m + p is one to one for q >= 0 and |p| < m/2; along a
     # stretch |p| <= |p0| + (n - 1)|bp|, and the keys form a range
     m = 1 + 2 * max((abs(p) + (n - 1) * abs(bp) for p, _, bp, _, n in stretches), default=0)
-    seen = set()
+    seen, runs = set(), []
     for p, q, bp, bq, n in stretches:
         key = q * m + p
         if n == 1:
             seen.add(key)
         else:  # a stretch without a step repeats one slope
             step = bq * m + bp
-            seen.update(range(key, key + n * step, step) if step else (key,))
-    assert len(seen) == total, "a slope was enumerated twice"
+            keys = range(key, key + n * step, step) if step else (key,)
+            if len(keys) <= len(stretches):
+                seen.update(keys)
+            else:
+                runs.append(keys if step > 0 else keys[::-1])
+    assert len(seen) + sum(map(len, runs)) == total and not any(
+        any(map(run.__contains__, seen)) or any(_progressions_meet(run, r) for r in runs[:i])
+        for i, run in enumerate(runs)
+    ), "a slope was enumerated twice"
 
 
 def _walk(triple, length_cutoff, max_records):
     """The stretches and traces within the cutoff, in emission order.
 
     The walk starts at `reduce_to_minimal(triple)`, looked up at call time.
-    Stretch i covers the next n_i traces (see the module docstring); the
-    stretches hold as many slopes as there are traces, all distinct.  A
-    kept child trace <= 2 is refused here; a NaN trace is returned as it
-    is, for `length_from_trace` to refuse.
+    Stretch i covers the next n_i traces; the stretches hold as many slopes
+    as there are traces, all distinct, which `_assert_distinct` checks in
+    O(1) state for each long stretch.  A kept child trace <= 2 is refused
+    here; a NaN trace is returned as it is, for `length_from_trace` to refuse.
     """
     if not length_cutoff > 0.0:
         raise DomainError(f"length cutoff must be positive, got {length_cutoff!r}")
@@ -279,8 +298,8 @@ def enumerate_geodesics(triple: TraceTriple, length_cutoff: float):
 
     Records are sorted by (trace, slope) ascending, slopes in rational
     order, and so by length; distinct slopes of equal length stay distinct
-    records.  `spectrum_columns` gives the same lengths and traces in the
-    same order.  Slopes are assigned in the marking of the tree root,
+    records.  `sorted_traces` gives the same traces in the same order.
+    Slopes are assigned in the marking of the tree root,
     `reduce_to_minimal(triple)`: the root edge joins 0/1 and 1/0, with
     traces x and y, and its two triangles add 1/1 (trace z) and -1/1
     (trace xy - z).  The module docstring describes the walk.
@@ -313,22 +332,18 @@ def enumerate_geodesics(triple: TraceTriple, length_cutoff: float):
     return records
 
 
-def spectrum_columns(
-    triple: TraceTriple,
-    length_cutoff: float,
-    *,
-    max_records: int = DEFAULT_MAX_RECORDS,
+def sorted_traces(
+    triple: TraceTriple, length_cutoff: float, *, max_records: int = DEFAULT_MAX_RECORDS
 ):
-    """The length and trace columns of `enumerate_geodesics(triple, length_cutoff)`.
+    """The trace column of `enumerate_geodesics(triple, length_cutoff)`.
 
-    The same walk and refusals, with the collector as the caller left it:
-    no record and no slope is built, the stretches are dropped and the
-    traces sorted as plain floats, then mapped to lengths by
-    `length_from_trace`.
+    The same walk, refusals and order, with the collector as the caller
+    left it; no record, slope or length is built.  A caller forms each
+    length with `length_from_trace`, which refuses a NaN or <= 2 trace.
     """
     traces = _walk(triple, length_cutoff, max_records)[1]  # frees the stretches
     traces.sort()
-    return list(map(length_from_trace, traces)), traces
+    return traces
 
 
 _ORACLE_SCALE = 50

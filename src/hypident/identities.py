@@ -54,11 +54,11 @@ torus boundary k and an interior geodesic b, and
 each geodesic's term from the kind's table kernel, which reads only its
 length and trace, and round the exact sum of the terms once, so the result
 does not depend on the order of the terms and both give the same sum bit
-for bit.  `evaluate` sums the sorted columns of `spectrum_columns` with
-`math.fsum` and builds no record, with the collector as the caller left
-it: only two lists of untracked floats outlive the walk.  `iter_terms`
-yields each record with its term and the running sum (the CLI's `terms`),
-kept exactly as an int in units of 2^-1074 and rounded at each yield.
+for bit.  `evaluate` sums the terms with `math.fsum` over `sorted_traces`,
+forming each length with `length_from_trace` as the kernel reads it: only
+the traces, untracked floats, outlive the walk.  `iter_terms` yields each
+record with its term and the running sum (the CLI's `terms`), kept
+exactly as an int in units of 2^-1074 and rounded at each yield.
 """
 
 import enum
@@ -67,11 +67,11 @@ from itertools import repeat
 from math import cosh, exp, expm1, pi, sqrt, tanh
 from typing import NamedTuple
 
-from .curves import DEFAULT_MAX_RECORDS, GeodesicRecord, enumerate_geodesics, spectrum_columns
+from .curves import DEFAULT_MAX_RECORDS, GeodesicRecord, enumerate_geodesics, sorted_traces
 from .dilog import ODD_SERIES_MAX, lasso, rogers, rogers_odd_series
 from .errors import DomainError
 from .pants import foursphere_ortho, pants_geometry, torus_ortho
-from .torus import TraceTriple
+from .torus import TraceTriple, length_from_trace
 
 __all__ = [
     "IdentityKind",
@@ -418,16 +418,16 @@ def evaluate(
 ) -> IdentityReport:
     """Sum the `kind` terms over the spectrum of `triple` into a report.
 
-    `math.fsum` runs over the sorted columns of `spectrum_columns`, with no
-    record built; its terms and sum are those of `iter_terms`, bit for bit.
+    `math.fsum` runs over `sorted_traces`, with no record and no length list
+    built; its terms and sum are those of `iter_terms`, bit for bit.
     Four-holed-sphere kinds take the torus point through the two-to-one
     correspondence of interior geodesics: boundary c = k/2 and interior
     length a = 2b for each torus geodesic of length b.
     """
     k = triple.k
     kernel, _, target, reports_c = check_point_kind(kind, k)
-    lengths, traces = spectrum_columns(triple, cutoff, max_records=max_records)
-    partial = math.fsum(map(kernel, repeat(k), lengths, traces))
+    traces = sorted_traces(triple, cutoff, max_records=max_records)
+    partial = math.fsum(map(kernel, repeat(k), map(length_from_trace, traces), traces))
     parameters = triple._asdict()
     if reports_c:
         parameters["c"] = 0.5 * k
@@ -435,7 +435,7 @@ def evaluate(
         kind=kind,
         parameters=parameters,
         cutoff=cutoff,
-        term_count=len(lengths),
+        term_count=len(traces),
         partial_sum=partial,
         target=target,
         defect=target - partial,

@@ -10,19 +10,22 @@ import pytest
 from hypident import (
     DomainError,
     FenchelNielsen,
+    IdentityKind,
     NonHyperbolicError,
     ResourceLimitError,
     Slope,
     TraceTriple,
     brute_force_trace,
     enumerate_geodesics,
+    evaluate,
     from_fenchel_nielsen,
+    length_from_trace,
     markov_child,
     reduce_to_minimal,
-    spectrum_columns,
+    sorted_traces,
     trace_triple,
 )
-from hypident import curves
+from hypident import curves, identities
 from helpers import reference_walk
 
 # FN(8, 0, 0) with y one ulp lower: at cutoff 20, 11 adjacent pairs of equal
@@ -87,8 +90,8 @@ def test_enumerate_root_invariance():
 
 
 def test_enumerate_sorted_and_distinct():
-    # records sorted by (trace, slope), and so by length; `spectrum_columns`
-    # gives their length and trace columns, in the same order
+    # records sorted by (trace, slope), and so by length; `sorted_traces`
+    # gives their trace column, in the same order
     for triple, cutoff in [
         (trace_triple(3.0, 3.0, 4.0), 14.0),
         (from_fenchel_nielsen(FenchelNielsen(8.0, 0.0, 0.0)), 20.0),
@@ -103,9 +106,9 @@ def test_enumerate_sorted_and_distinct():
             assert u.length <= v.length
         for r in records:
             assert abs(r.length - 2.0 * acosh(0.5 * r.trace)) <= 1e-14
-        lengths, traces = spectrum_columns(triple, cutoff)
-        assert lengths == [r.length for r in records]
+        traces = sorted_traces(triple, cutoff)
         assert traces == [r.trace for r in records]
+        assert list(map(length_from_trace, traces)) == [r.length for r in records]
 
 
 def test_slope_completeness_matches_totients():
@@ -195,19 +198,19 @@ def test_resource_cap_counts_twist_run_emissions(monkeypatch):
     assert count > 400
     monkeypatch.setattr(curves, "DEFAULT_MAX_RECORDS", count)
     assert len(enumerate_geodesics(triple, 20.0)) == count
-    assert len(spectrum_columns(triple, 20.0, max_records=count)[0]) == count
+    assert len(sorted_traces(triple, 20.0, max_records=count)) == count
     monkeypatch.setattr(curves, "DEFAULT_MAX_RECORDS", count - 1)
     refused = _refusal(lambda: enumerate_geodesics(triple, 20.0))
     assert refused[0] is ResourceLimitError
-    assert _refusal(lambda: spectrum_columns(triple, 20.0, max_records=count - 1)) == refused
+    assert _refusal(lambda: sorted_traces(triple, 20.0, max_records=count - 1)) == refused
 
 
 def test_resource_cap_counts_root_emissions():
     # the roots 0/1 and 1/0 are the only records here: the walk emits none
     triple = trace_triple(3.0, 3.0, 4.5)
-    assert len(spectrum_columns(triple, 2.0 * acosh(2.0), max_records=2)[0]) == 2
+    assert len(sorted_traces(triple, 2.0 * acosh(2.0), max_records=2)) == 2
     with pytest.raises(ResourceLimitError):
-        spectrum_columns(triple, 2.0 * acosh(2.0), max_records=1)
+        sorted_traces(triple, 2.0 * acosh(2.0), max_records=1)
 
 
 @pytest.mark.parametrize(
@@ -253,29 +256,66 @@ def test_walk_matches_a_plain_breadth_first_walk(triple, cutoff, reduce, request
 
 
 def test_overlapping_stretches_trip_the_duplicate_check():
-    # (p, q, bp, bq, n) is the slopes (p, q) + i (bp, bq), i < n
-    disjoint = [(0, 1, 0, 0, 1), (1, 0, 0, 0, 1), (1, 1, 1, 0, 3), (-1, 1, -1, 0, 2)]
-    curves._assert_distinct(disjoint, 7)
+    # (p, q, bp, bq, n) is the slopes (p, q) + i (bp, bq), i < n.  A stretch
+    # longer than the number of stretches is a long run: a range of keys,
+    # met with the set of the others' keys by `in` and with each other long
+    # run as two arithmetic progressions
+    for disjoint in (
+        [(0, 1, 0, 0, 1), (1, 0, 0, 0, 1), (1, 1, 1, 0, 3), (-1, 1, -1, 0, 2)],
+        [(1, 1, 1, 0, 5), (6, 1, 1, 0, 4)],  # one line, one after the other
+        [(1, 1, 2, 0, 5), (2, 1, 2, 0, 4)],  # one line, interleaved: odd and even p
+        [(0, 1, 1, 1, 5), (3, 1, 0, 1, 3)],  # the lines cross at 3/4, past 3/3
+        [(0, 1, -1, 0, 5), (-3, 2, 0, 1, 5)],  # a falling key run beside -3/q, q >= 2
+    ):
+        curves._assert_distinct(disjoint, sum(stretch[4] for stretch in disjoint))
     for repeated in (
         [(0, 1, 1, 1, 3), (2, 3, 1, 1, 2)],  # 2/3 twice
         [(1, 2, -1, 1, 3), (-1, 4, -1, 1, 1)],  # -1/4 twice
         [(1, 1, 0, 0, 2)],  # no step: 1/1 twice
+        [(0, 1, 0, 0, 1), (3, 1, 0, 0, 1), (1, 1, 1, 0, 5)],  # a long run meets 3/1
+        [(0, 1, 1, 1, 5), (3, 1, 0, 1, 5)],  # two steps cross at 3/4
+        [(1, 1, 1, 0, 5), (4, 1, 1, 0, 4)],  # one line: 4/1 and 5/1 twice
+        [(1, 1, 1, 0, 5), (-3, 1, 2, 0, 5)],  # one line, two steps: 1/1, 3/1, 5/1 twice
+        [(0, 1, -1, 0, 5), (-3, 1, 0, 1, 5)],  # a falling key run: -3/1 twice
     ):
         count = sum(stretch[4] for stretch in repeated)
         with pytest.raises(AssertionError, match="a slope was enumerated twice"):
             curves._assert_distinct(repeated, count)
 
 
-def test_spectrum_columns_builds_no_slope(monkeypatch):
+def test_duplicate_check_agrees_with_a_set_of_slopes():
+    # seeded random stretch lists with q >= 0, a good share with two or more
+    # long runs: the check trips exactly when the slopes are not distinct
+    rng = random.Random(22)
+    tally = Counter()
+    for _ in range(20_000):
+        stretches = [
+            (rng.randint(-8, 8), rng.randint(0, 8), rng.randint(-3, 3), rng.randint(0, 3),
+             rng.choice((1, 1, 2, 3, rng.randint(4, 40))))
+            for _ in range(rng.randint(1, 6))
+        ]
+        slopes = [(p + i * bp, q + i * bq) for p, q, bp, bq, n in stretches for i in range(n)]
+        distinct = len(set(slopes)) == len(slopes)
+        try:
+            curves._assert_distinct(stretches, len(slopes))
+        except AssertionError:
+            assert not distinct, stretches
+        else:
+            assert distinct, stretches
+        tally[distinct, sum(n > len(stretches) for *_, n in stretches) >= 2] += 1
+    assert len(tally) == 4 and min(tally.values()) >= 1000, tally
+
+
+def test_sorted_traces_builds_no_slope(monkeypatch):
     triple = from_fenchel_nielsen(FenchelNielsen(8.0, 0.0, 0.0))
-    expected = spectrum_columns(triple, 20.0)
+    expected = sorted_traces(triple, 20.0)
 
     def refuse(*args):
         raise AssertionError("a slope was built")
 
     monkeypatch.setattr(curves, "_make_slope", refuse)
     monkeypatch.setattr(curves, "Slope", refuse)
-    assert spectrum_columns(triple, 20.0) == expected
+    assert sorted_traces(triple, 20.0) == expected
     with pytest.raises(AssertionError, match="a slope was built"):
         enumerate_geodesics(triple, 20.0)
 
@@ -327,8 +367,9 @@ def test_record_pass_refuses_a_bad_trace(unreduced):
 
 def test_collector_is_paused_through_the_record_pass(monkeypatch, unreduced):
     # `enumerate_geodesics` turns traces into lengths inside its pause, and a
-    # raise there restores the collector; `spectrum_columns` does so with
-    # the collector as the caller left it.  (3, 3, 3) is its own reduction
+    # raise there restores the collector; `evaluate` turns the traces of
+    # `sorted_traces` into lengths with the collector as the caller left it.
+    # (3, 3, 3) is its own reduction
     seen = []
     length_from_trace = curves.length_from_trace
 
@@ -337,8 +378,9 @@ def test_collector_is_paused_through_the_record_pass(monkeypatch, unreduced):
         return length_from_trace(trace)
 
     monkeypatch.setattr(curves, "length_from_trace", spy)
+    monkeypatch.setattr(identities, "length_from_trace", spy)
     count = len(enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 10.0))
-    spectrum_columns(trace_triple(3.0, 3.0, 3.0), 10.0)
+    evaluate(IdentityKind.MCSHANE, trace_triple(3.0, 3.0, 3.0), 10.0)
     assert count > 0 and seen == [False] * count + [True] * count
 
     def refuse(trace):
@@ -350,15 +392,16 @@ def test_collector_is_paused_through_the_record_pass(monkeypatch, unreduced):
     assert gc.isenabled()
     # `length_from_trace` refuses a bad trace of an unvalidated root, alike for both
     monkeypatch.setattr(curves, "length_from_trace", length_from_trace)
+    monkeypatch.setattr(identities, "length_from_trace", length_from_trace)
     root = TraceTriple(10.0, 2.0, 10.0, 4.0, 0.0)
     refused = _refusal(lambda: enumerate_geodesics(root, 4.0))
     assert refused[0] is NonHyperbolicError
-    assert _refusal(lambda: spectrum_columns(root, 4.0)) == refused
+    assert _refusal(lambda: evaluate(IdentityKind.MCSHANE, root, 4.0)) == refused
 
 
 def test_collector_is_restored_after_the_record_cap(monkeypatch):
     monkeypatch.setattr(curves, "DEFAULT_MAX_RECORDS", 5)
-    for spectrum in (enumerate_geodesics, partial(spectrum_columns, max_records=5)):
+    for spectrum in (enumerate_geodesics, partial(sorted_traces, max_records=5)):
         assert gc.isenabled()
         with pytest.raises(ResourceLimitError):
             spectrum(trace_triple(3.0, 3.0, 3.0), 25.0)
@@ -370,7 +413,7 @@ def test_collector_disabled_by_the_caller_stays_disabled():
     try:
         assert len(enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 10.0)) > 0
         assert not gc.isenabled()
-        assert len(spectrum_columns(trace_triple(3.0, 3.0, 3.0), 10.0)[0]) > 0
+        assert len(sorted_traces(trace_triple(3.0, 3.0, 3.0), 10.0)) > 0
         assert not gc.isenabled()
     finally:
         gc.enable()
@@ -389,7 +432,7 @@ def test_enumerate_rejects_bad_cutoff():
     ):
         refused = _refusal(lambda: enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), cutoff))
         assert refused[0] is DomainError and refused[1].endswith(message)
-        assert _refusal(lambda: spectrum_columns(trace_triple(3.0, 3.0, 3.0), cutoff)) == refused
+        assert _refusal(lambda: sorted_traces(trace_triple(3.0, 3.0, 3.0), cutoff)) == refused
 
 
 def test_slope_canonical_and_order():

@@ -2,7 +2,11 @@ import gc
 import itertools
 import random
 import re
+import subprocess
+import sys
 from math import acosh, cosh, exp, expm1, fsum, inf, isfinite, log, nan, pi, tanh, ulp
+
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -30,7 +34,7 @@ from hypident import (
     pants_sum_term_via_complement,
     quasi_pants_term,
     rogers,
-    spectrum_columns,
+    sorted_traces,
     tail_estimate,
     term_cusped,
     term_foursphere_cusped,
@@ -599,7 +603,7 @@ def test_unknown_kind_is_refused_before_enumeration(monkeypatch):
         raise AssertionError("the spectrum was enumerated")
 
     monkeypatch.setattr(identities, "enumerate_geodesics", unreachable)
-    monkeypatch.setattr(identities, "spectrum_columns", unreachable)
+    monkeypatch.setattr(identities, "sorted_traces", unreachable)
     # the cusp, a holed point, and a cutoff below its shortest geodesic
     for triple, cutoff in ((MODULAR, 25.0), (HOLED, 25.0), (HOLED, 0.1)):
         for kind in ("thm11", None, ["thm11"]):
@@ -610,7 +614,7 @@ def test_unknown_kind_is_refused_before_enumeration(monkeypatch):
 
 
 def test_evaluate_builds_no_record(monkeypatch):
-    # evaluate sums the columns of `spectrum_columns`: no record is built
+    # evaluate sums over the traces of `sorted_traces`: no record is built
     want = {kind: evaluate(kind, _point_for(kind), 14.0) for kind in IdentityKind}
 
     def unreachable(*args, **kwargs):
@@ -669,6 +673,27 @@ def test_thin_cusp_mcshane_sum_is_pinned():
     assert report.partial_sum.hex() == "0x1.ffffafb651a8bp-2"
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+def test_a_million_thin_cusp_records_fit_in_bounded_memory():
+    # 830,022 records in two twist runs: the duplicate check holds O(1) state
+    # for each run and `evaluate` builds no length list, so a fresh process
+    # peaks near 46 MB; with a set key and a boxed length per record, 111 MB
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import resource, sys; sys.path.insert(0, {str(src)!r}); "
+        "from hypident import FenchelNielsen, IdentityKind, evaluate, from_fenchel_nielsen; "
+        "triple = from_fenchel_nielsen(FenchelNielsen(27.5, 0.0, 0.0)); "
+        "report = evaluate(IdentityKind.MCSHANE, triple, 28.2); "
+        "print(report.term_count, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    count, kib = map(int, result.stdout.split())
+    assert count == 830_022 and kib < 80 * 1024, (count, kib / 1024)
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 def test_evaluate_restores_the_collector_state(enabled, unreduced):
     # MODULAR is its own reduction; the unvalidated root's only record has trace 2
@@ -697,15 +722,15 @@ def test_evaluate_restores_the_collector_state(enabled, unreduced):
 
 def test_columns_and_evaluate_never_pause_the_collector(monkeypatch):
     # only untracked floats outlive the walk: nothing on this path may
-    # disable the collector, and both give the same columns and sum
-    columns = spectrum_columns(THIN, 20.0)
+    # disable the collector, and both give the same traces and sum
+    traces = sorted_traces(THIN, 20.0)
     report = evaluate(IdentityKind.MCSHANE, THIN, 20.0)
 
     def refuse():
         raise AssertionError("the collector was paused")
 
     monkeypatch.setattr(gc, "disable", refuse)
-    assert spectrum_columns(THIN, 20.0) == columns
+    assert sorted_traces(THIN, 20.0) == traces
     assert evaluate(IdentityKind.MCSHANE, THIN, 20.0).partial_sum.hex() == report.partial_sum.hex()
     with pytest.raises(AssertionError, match="collector was paused"):
         enumerate_geodesics(THIN, 20.0)

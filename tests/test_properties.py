@@ -83,7 +83,7 @@ def test_iter_terms_running_sum_is_correctly_rounded(values):
     cutoff=st.floats(10.0, 14.0),
 )
 def test_evaluate_is_the_last_iter_terms_partial(log_b, twist, k, cutoff):
-    # evaluate sums the sorted columns, iter_terms the records: the same count
+    # evaluate sums over the sorted traces, iter_terms the records: the same count
     # and bits, or the same typed refusal (the reduction refuses some twisted roots)
     b = exp(log_b)
     try:
