@@ -10,6 +10,7 @@ usage or domain errors with a one-line diagnostic on stderr.
 import argparse
 import json
 import math
+import os
 import sys
 from operator import attrgetter
 
@@ -338,4 +339,17 @@ def run(argv, out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Console entry point: `run` on the process arguments, then exit with its code.
+
+    A reader that closes stdout early (`hypident spectrum ... | head -1`) ends
+    the run with exit code 1 and no traceback, as the SIGPIPE note of the
+    `signal` documentation does it.
+    """
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # inside the try: the last buffered rows may meet the closed pipe
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit: point it at devnull first
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

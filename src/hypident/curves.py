@@ -20,7 +20,12 @@ Its children are (a, v, ta, t, ta t - tb), which keeps a, and
 twist about b: the slopes a + n b, with traces y_{n+1} = tb y_n - y_{n-1}
 (Bowditch's recurrence).  After each pop the walk follows that twist run
 inline, emitting every mediant on it, and queues only the children that
-keep a.  Every node is visited once, with the float expressions of a
+keep a.  Once a run rises (t >= ta, t >= tb > 2) past a pruned child, every
+later child is pruned too and every later trace up to the break is
+emitted: the walk finishes such a run in a tight loop, one multiply, one
+subtraction and one append a step, with no child test (`_walk` gives the
+float argument).  On a thin surface nearly every record comes from that
+loop.  Every node is visited once, with the float expressions of a
 breadth-first walk, so only the order of emission depends on the walk;
 the sorted records do not.  After the roots 0/1 and 1/0, the root edge
 is crossed both ways, by ((0,1), (1,0), x, y, z) and
@@ -70,7 +75,7 @@ parents), multiplies the explicit Fenchel-Nielsen matrices, and reports
 import gc
 from collections import deque
 from functools import partial
-from itertools import chain, count, islice
+from itertools import chain, count, islice, repeat
 from math import cosh, gcd
 from operator import attrgetter
 from typing import NamedTuple
@@ -231,6 +236,32 @@ def _walk(triple, length_cutoff, max_records):
     as there are traces, all distinct, which `_assert_distinct` checks in
     O(1) state for each long stretch.  A kept child trace <= 2 is refused
     here; a NaN trace is returned as it is, for `length_from_trace` to refuse.
+
+    The rising-run loop.  Take a step of a twist run, with traces ta, t and
+    the kept tb, whose child that keeps a, c' = fl(fl(ta t) - tb), is pruned
+    (c' > cutoff, c' >= ta, c' >= t), and where ta <= t and tb <= t, tb > 2.
+    Rounding is monotone, so:
+
+    * the next trace rises: fl(tb t) >= fl(2 t) = 2 t, so
+      t+ = fl(fl(tb t) - ta) >= fl(2 t - ta) >= t, since 2 t - ta >= t
+      (where 2 t overflows, t+ = inf - ta = inf);
+    * the next child is pruned: t t+ >= ta t gives fl(fl(t t+) - tb) >= c',
+      so it is > cutoff and >= t; and t > 2 with t+ >= tb gives
+      fl(fl(t t+) - tb) >= fl(2 t+ - tb) >= t+.
+
+    The step (t, t+) meets the same conditions, so every later child that
+    keeps a is pruned and every later trace is >= the one before it and >=
+    tb: the break test `c > cutoff and c >= t and c >= tb` reduces to
+    c > cutoff, and the run emits each trace up to the break, with no gap,
+    and refuses none (each is > 2).  From such a step the walk forms
+    c = t tb - ta, emits it and shifts, the same floats in the same order,
+    and counts the room left under the record cap instead of the list, so
+    the cap raises at the same emission.  A NaN fails the entry test; with
+    ta = t = inf both loops emit NaN to the cap.  In exact arithmetic
+    c' >= t alone gives t (t - 1) >= tb, and the test tb <= t is not needed;
+    it keeps the float argument free of a margin, and a reduced walk, where
+    in exact arithmetic each mediant's trace is the largest of its triangle,
+    meets it.
     """
     if not length_cutoff > 0.0:
         raise DomainError(f"length cutoff must be positive, got {length_cutoff!r}")
@@ -279,6 +310,22 @@ def _walk(triple, length_cutoff, max_records):
                 if c <= 2.0:
                     raise _non_hyperbolic_child(2 * up + bp, 2 * uq + bq, c)
                 queue.append((up, uq, up + bp, uq + bq, ta, t, c))
+            elif ta <= t >= tb > 2.0:
+                # the run rises from here: every later child that keeps a is
+                # pruned, and every later trace up to the break is emitted
+                c = t * tb - ta
+                if not c > trace_cutoff:
+                    before = len(traces)
+                    for _ in repeat(None, max_records - before):
+                        emit(c)
+                        ta, t = t, c
+                        c = t * tb - ta
+                        if c > trace_cutoff:
+                            break
+                    else:  # the room is spent and c is due
+                        raise _record_limit(max_records, length_cutoff)
+                    end += len(traces) - before
+                break
             c = t * tb - ta
             if c > trace_cutoff and c >= t and c >= tb:
                 break

@@ -50,28 +50,37 @@ torus boundary k and an interior geodesic b, and
 
     4 pi^2 - sum_b 8 [2 La(e^{-b}, tanh^2(m/2)) + L(sech^2(p/2))].
 
-`evaluate` and `iter_terms` share one path: enumerate the spectrum, take
-each geodesic's term from the kind's table kernel, which reads only its
-length and trace, and round the exact sum of the terms once, so the result
-does not depend on the order of the terms and both give the same sum bit
-for bit.  `evaluate` sums the terms with `math.fsum` over `sorted_traces`,
-forming each length with `length_from_trace` as the kernel reads it: only
-the traces, untracked floats, outlive the walk.  `iter_terms` yields each
-record with its term and the running sum (the CLI's `terms`), kept
-exactly as an int in units of 2^-1074 and rounded at each yield.
+`evaluate` and `iter_terms` share one path: enumerate the spectrum, hand
+the kind's table kernel the sorted trace column and its length column, and
+round the exact sum of the terms it yields once, so the result does not
+depend on the order of the terms and both give the same sum bit for bit.
+A kernel is a column kernel: it maps the two columns to an iterator of
+terms, one for each geodesic, in order.  Most map their scalar bracket over
+the columns with `map`, which spends no Python frame of its own per term;
+`mcshane` is a chain of `map`s over `exp`, `add` and `truediv`, with no
+Python frame per term, cut where the lengths reach 700 (found by bisection
+on the sorted traces) and padded with the limit 0.0 past it.  `evaluate`
+sums the terms with `math.fsum` over `sorted_traces`, with the lengths of
+`torus.lengths_from_traces`, formed lazily as the kernel reads them: only
+the traces, untracked floats, outlive the walk.  `iter_terms` reads the
+columns off the records and yields each record with its term and the
+running sum (the CLI's `terms`), kept exactly as an int in units of
+2^-1074 and rounded at each yield.
 """
 
 import enum
 import math
-from itertools import repeat
+from bisect import bisect_left
+from itertools import chain, islice, repeat
 from math import cosh, exp, expm1, pi, sqrt, tanh
+from operator import add, attrgetter, truediv
 from typing import NamedTuple
 
 from .curves import DEFAULT_MAX_RECORDS, GeodesicRecord, enumerate_geodesics, sorted_traces
 from .dilog import ODD_SERIES_MAX, lasso, rogers, rogers_odd_series
 from .errors import DomainError
 from .pants import foursphere_ortho, pants_geometry, torus_ortho
-from .torus import TraceTriple, length_from_trace
+from .torus import TraceTriple, length_from_trace, lengths_from_traces
 
 __all__ = [
     "IdentityKind",
@@ -317,37 +326,50 @@ def torus_contribution_partial(k: float, records) -> float:
 
 
 # these three take the limit 0 before t * t or the pants trigonometry can overflow
-def _thm15_term(_k, b, t):
+def _thm15_term(b, t):
     return 0.0 if b > _LIMIT_LENGTH else term_trace_squared(t * t)
 
 
-def _thm31_term(k, b, _trace):
+def _thm31_term(k, b):
     if b > _LIMIT_LENGTH:
         return 0.0
     ortho = torus_ortho(k, b)
     return term_ortho_torus(k, ortho.m, ortho.q)
 
 
-def _four_term(k, b, _trace):
+def _four_term(k, b):
     if b > _LIMIT_LENGTH:
         return 0.0
     ortho = foursphere_ortho(0.5 * k, 2.0 * b)
     return term_ortho_torus(k, ortho.m, ortho.p)
 
 
-# kind -> (kernel, cusped, target, reports_c).  kernel(k, length, trace) is a
-# geodesic's term, every name inside it read at call time; a cusped kind needs
-# k = 0, the others a boundary k > 0; target is the value of the full sum;
-# reports_c adds the four-holed-sphere boundary c = k/2 to the parameters
+def _mcshane_terms(_k, traces, lengths):
+    # `term_mcshane` with no frame per term: 1/(1 + e^b) below b = 700, and its
+    # limit 0.0 from there on; lengths grow with the sorted traces
+    short = bisect_left(traces, _LIMIT_LENGTH, key=length_from_trace)
+    return chain(
+        map(truediv, repeat(1.0), map(add, repeat(1.0), map(exp, islice(lengths, short)))),
+        repeat(0.0, len(traces) - short),
+    )
+
+
+# kind -> (kernel, cusped, target, reports_c).  kernel(k, traces, lengths) maps
+# the sorted trace column and its length column to the terms, in order, every
+# name inside it read at call time; a cusped kind needs k = 0, the others a
+# boundary k > 0; target is the value of the full sum; reports_c adds the
+# four-holed-sphere boundary c = k/2 to the parameters
 _IDENTITIES = {
-    IdentityKind.THM11: (lambda k, b, t: term_one_holed(k, b), False, PI2_2, False),
-    IdentityKind.THM12: (lambda k, b, t: term_cusped(b), True, PI2_2, False),
-    IdentityKind.THM15: (_thm15_term, True, PI2_2, False),
-    IdentityKind.THM31: (_thm31_term, False, PI2_2, False),
-    IdentityKind.FOUR: (_four_term, False, PI2_2, True),
-    IdentityKind.FOUR_SIMPLE: (lambda k, b, t: term_one_holed(k, b), False, PI2_2, True),
-    IdentityKind.FOUR_CUSPED: (lambda k, b, t: term_cusped(b), True, PI2_2, True),
-    IdentityKind.MCSHANE: (lambda k, b, t: term_mcshane(b), True, 0.5, False),
+    IdentityKind.THM11: (lambda k, t, b: map(term_one_holed, repeat(k), b), False, PI2_2, False),
+    IdentityKind.THM12: (lambda k, t, b: map(term_cusped, b), True, PI2_2, False),
+    IdentityKind.THM15: (lambda k, t, b: map(_thm15_term, b, t), True, PI2_2, False),
+    IdentityKind.THM31: (lambda k, t, b: map(_thm31_term, repeat(k), b), False, PI2_2, False),
+    IdentityKind.FOUR: (lambda k, t, b: map(_four_term, repeat(k), b), False, PI2_2, True),
+    IdentityKind.FOUR_SIMPLE: (
+        lambda k, t, b: map(term_one_holed, repeat(k), b), False, PI2_2, True
+    ),
+    IdentityKind.FOUR_CUSPED: (lambda k, t, b: map(term_cusped, b), True, PI2_2, True),
+    IdentityKind.MCSHANE: (_mcshane_terms, True, 0.5, False),
 }
 
 
@@ -370,8 +392,11 @@ def check_point_kind(kind: IdentityKind, k: float):
 
 
 def identity_term(kind: IdentityKind, k: float, record: GeodesicRecord) -> float:
-    """Contribution of one geodesic record to the identity `kind`."""
-    return _row(kind)[0](k, record.length, record.trace)
+    """Contribution of one geodesic record to the identity `kind`.
+
+    The kind's kernel runs on the one-record columns (trace,) and (length,).
+    """
+    return next(_row(kind)[0](k, (record.trace,), (record.length,)))
 
 
 def tail_estimate(k: float, cutoff: float) -> float:
@@ -400,10 +425,11 @@ def iter_terms(kind: IdentityKind, triple: TraceTriple, cutoff: float):
     """
     k = triple.k
     kernel = check_point_kind(kind, k)[0]
+    records = enumerate_geodesics(triple, cutoff)
+    terms = kernel(k, [record.trace for record in records], map(attrgetter("length"), records))
     # the running sum, exactly, in units of 1/scale = 2^-1074, the least subnormal
     exact, scale = 0, 2**1074  # bound once: the compiler does not fold 2**1074
-    for record in enumerate_geodesics(triple, cutoff):
-        term = kernel(k, record.length, record.trace)
+    for record, term in zip(records, terms):
         n, d = term.as_integer_ratio()  # d = 2^e with e <= 1074
         exact += n << (1075 - d.bit_length())
         yield record, term, exact / scale  # int / int rounds correctly
@@ -418,8 +444,11 @@ def evaluate(
 ) -> IdentityReport:
     """Sum the `kind` terms over the spectrum of `triple` into a report.
 
-    `math.fsum` runs over `sorted_traces`, with no record and no length list
-    built; its terms and sum are those of `iter_terms`, bit for bit.
+    `math.fsum` runs over the kind's column kernel on the trace column of
+    `sorted_traces` and its lazy length column, `lengths_from_traces`, which
+    checks the traces once, up front: no record and no length list is
+    built, and no Python frame is spent per trace.  The terms and sum are
+    those of `iter_terms`, bit for bit.
     Four-holed-sphere kinds take the torus point through the two-to-one
     correspondence of interior geodesics: boundary c = k/2 and interior
     length a = 2b for each torus geodesic of length b.
@@ -427,7 +456,7 @@ def evaluate(
     k = triple.k
     kernel, _, target, reports_c = check_point_kind(kind, k)
     traces = sorted_traces(triple, cutoff, max_records=max_records)
-    partial = math.fsum(map(kernel, repeat(k), map(length_from_trace, traces), traces))
+    partial = math.fsum(kernel(k, traces, lengths_from_traces(traces)))
     parameters = triple._asdict()
     if reports_c:
         parameters["c"] = 0.5 * k

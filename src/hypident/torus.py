@@ -36,7 +36,10 @@ certificate.
 """
 
 import math
+from collections import deque
+from itertools import repeat
 from math import acosh, cosh, exp, inf, sinh, sqrt
+from operator import mul
 from typing import NamedTuple
 
 from .errors import DomainError, NoRealStructureError, NonHyperbolicError
@@ -50,6 +53,7 @@ __all__ = [
     "from_fenchel_nielsen",
     "fenchel_nielsen_matrices",
     "length_from_trace",
+    "lengths_from_traces",
     "mat_mul",
     "mat_inv",
     "mat_trace",
@@ -213,6 +217,22 @@ def length_from_trace(tr: float) -> float:
     if not 2.0 < tr < inf:
         raise NonHyperbolicError(f"trace must exceed 2 for a hyperbolic element, got {tr!r}")
     return 2.0 * acosh(0.5 * tr)
+
+
+def lengths_from_traces(traces):
+    """The lengths of the trace column `traces`, lazily, in order.
+
+    The same floats as `map(length_from_trace, traces)`, bit for bit, with
+    no Python frame per trace: the column is checked once, up front, and a
+    NaN, infinite or <= 2 trace in it raises the error that
+    `length_from_trace` raises for the first such trace.
+    """
+    # one pass of each in C: min finds a trace <= 2, and a finite sum holds no
+    # NaN and no inf; only a column that fails (or whose sum overflows) is
+    # walked again by the scalar form, which raises at its first bad trace
+    if traces and not (2.0 < min(traces) and sum(traces) < inf):
+        deque(map(length_from_trace, traces), maxlen=0)
+    return map(mul, repeat(2.0), map(acosh, map(mul, repeat(0.5), traces)))
 
 
 # 2x2 matrix helpers for the explicit recipes (rows of pairs)

@@ -1,10 +1,13 @@
 import ast
 import io
 import json
+import os
 import subprocess
 import sys
 from math import pi
 from pathlib import Path
+
+import pytest
 
 from hypident.cli import run
 
@@ -289,6 +292,31 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "p,q,trace,length"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["terms", "--identity", "mcshane", "--fn", "16,0,0", "--cutoff", "17"],
+        ["spectrum", "--traces", "3,3,3", "--cutoff", "100"],
+    ],
+    ids=["terms", "spectrum"],
+)
+def test_a_closed_pipe_ends_the_run_without_a_traceback(argv):
+    # ~200 KB of CSV, past what the pipe buffers: the reader takes one line and
+    # closes its end, so a later write of the run meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hypident", *argv, "--format", "csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    header = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert header.startswith(b"p,q,") and b"Traceback" not in err, err
 
 
 def test_sweep_range_must_be_finite():

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from math import acosh, cosh, gcd, inf, nan, sinh, sqrt
+from math import acosh, cosh, exp, gcd, inf, log, nan, sinh, sqrt
 
 import pytest
 
@@ -255,6 +255,88 @@ def test_walk_matches_a_plain_breadth_first_walk(triple, cutoff, reduce, request
     assert Counter(((r.slope.p, r.slope.q), r.trace.hex()) for r in records) == expected
 
 
+def _walked(stretches, traces):
+    # (slope, trace bits) of every emission of `_walk`, its stretches expanded
+    slopes = ((p + i * bp, q + i * bq) for p, q, bp, bq, n in stretches for i in range(n))
+    return Counter(zip(slopes, map(float.hex, traces)))
+
+
+def _log_uniform(rng, low, high):
+    return exp(rng.uniform(log(low), log(high)))
+
+
+# family -> (draw (b, t, k, cutoff) from a seeded rng, whether the walk is reduced)
+_WALK_FAMILIES = {
+    # in the Fenchel-Nielsen marking a twist of up to 3b moves the least trace
+    # of a root run a step or more in: the run falls, then rises
+    "falls-then-rises": (
+        lambda rng: (b := rng.uniform(1.0, 6.0), 3.0 * b * rng.uniform(-1.0, 1.0),
+                     rng.choice((0.0, rng.uniform(0.1, 3.0))), 14.0),
+        False,
+    ),
+    # thin cusps near FN(12, 0, 0): a few runs, hundreds of steps each, rising from entry
+    "rising-at-entry": (
+        lambda rng: (rng.uniform(10.0, 14.0), 0.0, 0.0, rng.uniform(13.0, 16.0)),
+        True,
+    ),
+    "large-twists": (
+        lambda rng: (b := _log_uniform(rng, 0.05, 30.0), 3.0 * b * rng.uniform(-1.0, 1.0),
+                     rng.choice((0.0, _log_uniform(rng, 1e-3, 10.0))), 12.0),
+        True,
+    ),
+    "k-to-0": (
+        lambda rng: (b := rng.uniform(0.3, 8.0), b * rng.uniform(-1.0, 1.0),
+                     _log_uniform(rng, 1e-12, 1e-6), 14.0),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(_WALK_FAMILIES))
+def test_walk_is_the_reference_walk_bit_for_bit(family, monkeypatch):
+    # the rising-run loop of `_walk` skips the child tests that the plain
+    # breadth-first walk makes: at seeded points of each family, both emit the
+    # same slopes with the same trace bits, as many times
+    draw, reduce = _WALK_FAMILIES[family]
+    if not reduce:
+        monkeypatch.setattr(curves, "reduce_to_minimal", lambda triple: triple)
+    rng = random.Random(f"walk-{family}")
+    compared, falling, steps = 0, 0, 0
+    for _ in range(60):
+        b, t, k, cutoff = draw(rng)
+        try:
+            triple = from_fenchel_nielsen(FenchelNielsen(b, t, k))
+            stretches, traces = curves._walk(triple, cutoff, 200_000)
+        except DomainError:
+            continue  # a refused point, or a wrong surface (NonHyperbolicError is one)
+        root = curves.reduce_to_minimal(triple)
+        assert _walked(stretches, traces) == Counter(
+            (slope, trace.hex()) for slope, trace in reference_walk(root, cutoff)
+        ), (b, t, k, cutoff)
+        x, y, z = root.x, root.y, root.z
+        falling += min(z, x * y - z) < x  # a root run whose second trace is below its first
+        steps = max(steps, max((n for *_, n in stretches), default=0))
+        compared += 1
+    assert compared >= 50
+    if family == "falls-then-rises":
+        assert falling >= 20
+    if family == "rising-at-entry":
+        assert steps >= 100
+
+
+def test_record_cap_inside_a_rising_run_refuses_at_the_same_count():
+    # FN(12, 0, 0) at cutoff 14: 670 records in 4 stretches, nearly all emitted
+    # by the rising-run loop, which counts its room instead of the list
+    triple = from_fenchel_nielsen(FenchelNielsen(12.0, 0.0, 0.0))
+    total = len(sorted_traces(triple, 14.0))
+    assert total == 670 and max(n for *_, n in curves._walk(triple, 14.0, total)[0]) >= 300
+    assert len(sorted_traces(triple, 14.0, max_records=total)) == total
+    for cap in (total - 1, total // 2, 3):
+        with pytest.raises(ResourceLimitError) as refused:
+            sorted_traces(triple, 14.0, max_records=cap)
+        assert str(refused.value) == f"enumeration exceeded {cap} records below cutoff 14.0"
+
+
 def test_overlapping_stretches_trip_the_duplicate_check():
     # (p, q, bp, bq, n) is the slopes (p, q) + i (bp, bq), i < n.  A stretch
     # longer than the number of stretches is a long run: a range of keys,
@@ -340,6 +422,11 @@ def test_enumerate_refuses_a_child_trace_at_most_2(unreduced, monkeypatch):
         match=r"^trace of slope 2/1 must exceed 2, got 0\.692351888331487: not a hyperbolic",
     ):
         enumerate_geodesics(run_step, 6.0)
+    # a run that rises at entry about an unvalidated trace below 2 (1/0's 1.5):
+    # its next step is refused where it is formed, not emitted by a rising-run loop
+    below_two = TraceTriple(3.0, 1.5, 3.0, 0.0, 0.0)
+    with pytest.raises(NonHyperbolicError, match=r"^trace of slope 2/1 must exceed 2, got 1\.5:"):
+        enumerate_geodesics(below_two, 2.0)
 
 
 def test_enumerate_keeps_nan_children(request, monkeypatch):
@@ -368,17 +455,23 @@ def test_record_pass_refuses_a_bad_trace(unreduced):
 def test_collector_is_paused_through_the_record_pass(monkeypatch, unreduced):
     # `enumerate_geodesics` turns traces into lengths inside its pause, and a
     # raise there restores the collector; `evaluate` turns the traces of
-    # `sorted_traces` into lengths with the collector as the caller left it.
-    # (3, 3, 3) is its own reduction
+    # `sorted_traces` into lengths, through their column form, with the
+    # collector as the caller left it.  (3, 3, 3) is its own reduction
     seen = []
     length_from_trace = curves.length_from_trace
+    lengths_from_traces = identities.lengths_from_traces
 
     def spy(trace):
         seen.append(gc.isenabled())
         return length_from_trace(trace)
 
+    def column_spy(traces):
+        for length in lengths_from_traces(traces):
+            seen.append(gc.isenabled())
+            yield length
+
     monkeypatch.setattr(curves, "length_from_trace", spy)
-    monkeypatch.setattr(identities, "length_from_trace", spy)
+    monkeypatch.setattr(identities, "lengths_from_traces", column_spy)
     count = len(enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 10.0))
     evaluate(IdentityKind.MCSHANE, trace_triple(3.0, 3.0, 3.0), 10.0)
     assert count > 0 and seen == [False] * count + [True] * count
@@ -392,7 +485,7 @@ def test_collector_is_paused_through_the_record_pass(monkeypatch, unreduced):
     assert gc.isenabled()
     # `length_from_trace` refuses a bad trace of an unvalidated root, alike for both
     monkeypatch.setattr(curves, "length_from_trace", length_from_trace)
-    monkeypatch.setattr(identities, "length_from_trace", length_from_trace)
+    monkeypatch.setattr(identities, "lengths_from_traces", lengths_from_traces)
     root = TraceTriple(10.0, 2.0, 10.0, 4.0, 0.0)
     refused = _refusal(lambda: enumerate_geodesics(root, 4.0))
     assert refused[0] is NonHyperbolicError

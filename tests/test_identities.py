@@ -4,7 +4,7 @@ import random
 import re
 import subprocess
 import sys
-from math import acosh, cosh, exp, expm1, fsum, inf, isfinite, log, nan, pi, tanh, ulp
+from math import acosh, cosh, exp, expm1, fsum, inf, isfinite, log, nan, nextafter, pi, tanh, ulp
 
 from pathlib import Path
 
@@ -29,6 +29,8 @@ from hypident import (
     identity_term,
     iter_terms,
     lasso,
+    length_from_trace,
+    lengths_from_traces,
     markov_child,
     pants_sum_term,
     pants_sum_term_via_complement,
@@ -230,6 +232,24 @@ def test_every_kind_takes_the_limit_past_length_700():
         for kind in IdentityKind:
             k = 0.0 if kind in cusped else 1.0
             assert identity_term(kind, k, record) == 0.0, (kind, b)
+
+
+def test_mcshane_column_kernel_is_term_mcshane_term_by_term():
+    # a sorted column from length 1e-5 across 700 to 1419, with the traces
+    # next to the one whose length first rounds to >= 700: every term, the
+    # limit 0.0 past 700 included, has the bits of `term_mcshane`
+    rng = random.Random(29)
+    traces = [2.0 * cosh(0.5 * exp(rng.uniform(log(1e-5), log(1419.0)))) for _ in range(5_000)]
+    edge = 2.0 * cosh(350.0)
+    for _ in range(8):
+        edge = nextafter(edge, 0.0 if length_from_trace(edge) >= 700.0 else inf)
+    traces += [edge] + [edge := nextafter(edge, inf) for _ in range(16)]
+    traces.sort()
+    lengths = list(map(length_from_trace, traces))
+    assert min(lengths) < 700.0 <= max(lengths) and 700.0 in lengths
+    kernel = identities._IDENTITIES[IdentityKind.MCSHANE][0]
+    terms = list(kernel(0.0, traces, lengths_from_traces(traces)))
+    assert [term.hex() for term in terms] == [term_mcshane(b).hex() for b in lengths]
 
 
 def test_pants_level_terms_take_the_limit_past_length_700():

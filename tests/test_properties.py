@@ -63,10 +63,9 @@ MODULAR = trace_triple(3.0, 3.0, 3.0)
 @example([-0.0])
 @example([])
 def test_iter_terms_running_sum_is_correctly_rounded(values):
-    # a kernel that returns `values` in turn: each partial of iter_terms is the
+    # a kernel whose terms are `values`: each partial of iter_terms is the
     # correctly rounded sum of its prefix, the bits of fsum, signed zeros included
-    feed = iter(values)
-    row = (lambda k, b, t: next(feed), True, 0.5, False)
+    row = (lambda k, traces, lengths: iter(values), True, 0.5, False)
     with mock.patch.dict(identities._IDENTITIES, {IdentityKind.MCSHANE: row}):
         steps = list(zip(values, iter_terms(IdentityKind.MCSHANE, MODULAR, 12.0)))
     assert len(steps) == len(values)

@@ -18,6 +18,8 @@ from hypident import (
     from_fenchel_nielsen,
     from_traces,
     length_from_trace,
+    lengths_from_traces,
+    torus,
     trace_triple,
 )
 from hypident.torus import _kappa, mat_inv, mat_mul, mat_trace
@@ -309,6 +311,41 @@ def test_length_from_trace_rejects_non_hyperbolic():
     for trace in (2.0, -3.0, nan, inf, -inf):
         with pytest.raises(NonHyperbolicError, match=f"hyperbolic element, got {trace!r}$"):
             length_from_trace(trace)
+
+
+def _refusal(call):
+    # the type and message of what `call` raises
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_length_column_is_the_scalar_form_bit_for_bit(monkeypatch):
+    # seeded lengths log-uniform in [1e-7, 1419], so traces in (2, 2cosh(709.5)],
+    # with the least trace above 2 and the thin-cusp benchmark's shortest one
+    rng = random.Random(23)
+    traces = [2.0 * cosh(0.5 * exp(rng.uniform(log(1e-7), log(1419.0))))
+              for _ in range(20_000)]
+    traces += [2.0 + 2.0**-51, 2.000000000067851, 2.0 * cosh(709.5), 3.0]
+    traces.sort()
+    expected = [length.hex() for length in map(length_from_trace, traces)]
+    # the traces near 1e308 sum past the float range: the scalar form walks the column
+    assert [length.hex() for length in lengths_from_traces(traces)] == expected
+    # a column with a finite sum is checked once: no trace passes through the scalar form
+    short = [trace for trace in traces if trace < 1e300]
+    assert 19_000 < len(short) < len(traces)
+    monkeypatch.setattr(torus, "length_from_trace", None)
+    assert [length.hex() for length in lengths_from_traces(short)] == expected[: len(short)]
+    assert list(lengths_from_traces([])) == []
+
+
+def test_length_column_refuses_as_the_scalar_form():
+    # the scalar form's type and message, for the first bad trace of the column
+    for column in ([nan], [3.0, nan, 4.0], [2.0, 3.0], [3.0, 5.0, 2.0], [3.0, inf],
+                   [-inf, 3.0], [nan, -inf], [3.0, 1.0, nan], [1e308, 1e308, nan]):
+        refused = _refusal(lambda: list(map(length_from_trace, column)))
+        assert refused[0] is NonHyperbolicError, column
+        assert _refusal(lambda: lengths_from_traces(column)) == refused, column
 
 
 def test_fenchel_nielsen_validation():
