@@ -43,26 +43,33 @@ trace (inf - inf), met only where a test patches the reduction out,
 fails both tests, so its subtree is kept and ends in a typed refusal
 instead of being silently lost.
 
-The walk emits into two lists, in emission order: the traces, one float
-per record, and the slopes as *stretches*.  A stretch (p, q, bp, bq, n)
-stands for the n slopes (p, q) + i (bp, bq), i < n, whose traces are the
-next n traces; each root is a stretch of length 1 with step (0, 0).
-Queue entries and twist runs hold a and b as integers, and the emissions
-of a run extend one stretch with step b; the run's traces are convex, so
-a gap, which would close the stretch and open another, is not expected.
-No slope is built in the walk: the vectors of a child are formed only
-when it is queued or refused.  After the walk, an integer key checks
-that no slope was emitted twice: (p, q) -> q m + p, with m - 1 twice the
-largest |p0| + (n - 1)|bp| of a stretch, is one to one, and the keys of
-a stretch are one `range`.  A stretch no longer than the number of
-stretches puts its keys in a set; a longer one, a thin twist run, stays
-a `range`, met with the set by `in` and with each other long one as two
-arithmetic progressions.  `enumerate_geodesics` then expands the
-stretches into `Slope` tuples, builds the records in bulk, and sorts them
-by (trace, slope), and so by length; `sorted_traces` sorts the traces as
-plain floats.  Neither the walk nor `sorted_traces` forms a length: each
-is formed with `torus.length_from_trace`, which refuses a NaN or <= 2
-trace; from a validated root, such a trace cannot get through the walk.
+The walk is a generator.  It yields the traces, one float per record, in
+emission order and in *chunks*: new lists of at most 4,096 traces, so a
+reader that sums as it goes holds one chunk, not the spectrum.  A chunk
+is cut wherever the count reaches a multiple of the chunk size, inside a
+twist run too, and the run resumes after the cut with the same floats.
+The slopes go as *stretches* into a list that the caller passes in.  A
+stretch (p, q, bp, bq, n) stands for the n slopes (p, q) + i (bp, bq),
+i < n, whose traces are the next n traces; each root is a stretch of
+length 1 with step (0, 0).  Queue entries and twist runs hold a and b as
+integers, and the emissions of a run extend one stretch with step b; the
+run's traces are convex, so a gap, which would close the stretch and open
+another, is not expected.  No slope is built in the walk: the vectors of
+a child are formed only when it is queued or refused.  After the last
+chunk, an integer key checks that no slope was emitted twice:
+(p, q) -> q m + p, with m - 1 twice the largest |p0| + (n - 1)|bp| of a
+stretch, is one to one, and the keys of a stretch are one `range`.  A
+stretch no longer than the number of stretches puts its keys in a set; a
+longer one, a thin twist run, stays a `range`, met with the set by `in`
+and with each other long one as two arithmetic progressions.
+`trace_chunks` gives the chunks as they come; `identities.evaluate` sums
+each one as it arrives.  `enumerate_geodesics` and `sorted_traces` join
+them: the first expands the stretches into `Slope` tuples, builds the
+records in bulk, and sorts them by (trace, slope), and so by length; the
+second sorts the traces as plain floats.  None of the three forms a
+length: each is formed with `torus.length_from_trace`, which refuses a
+NaN or <= 2 trace; from a validated root, such a trace cannot get
+through the walk.
 
 Slope arithmetic is exact (Python integers); traces are binary64.
 
@@ -99,11 +106,17 @@ __all__ = [
     "reduce_to_minimal",
     "enumerate_geodesics",
     "sorted_traces",
+    "trace_chunks",
     "brute_force_trace",
     "DEFAULT_MAX_RECORDS",
 ]
 
 DEFAULT_MAX_RECORDS = 10_000_000
+
+# the walk yields its traces in lists of at most this many.  On the thin-cusp
+# sum, chunks of 256 cost 6-15% more time, sizes from 4,096 to 65,536 are level
+# within the noise (5%), and the memory held grows with the size
+_CHUNK = 4096
 
 # the trace cutoff 2cosh(L/2) is finite up to L ~ 1419.57 and overflows beyond
 _MAX_CUTOFF = 1419.0
@@ -228,14 +241,23 @@ def _assert_distinct(stretches, total):
     ), "a slope was enumerated twice"
 
 
-def _walk(triple, length_cutoff, max_records):
-    """The stretches and traces within the cutoff, in emission order.
+def _walk(triple, length_cutoff, max_records, stretches):
+    """Yield the traces within the cutoff in emission order, chunk by chunk.
 
-    The walk starts at `reduce_to_minimal(triple)`, looked up at call time.
-    Stretch i covers the next n_i traces; the stretches hold as many slopes
-    as there are traces, all distinct, which `_assert_distinct` checks in
-    O(1) state for each long stretch.  A kept child trace <= 2 is refused
-    here; a NaN trace is returned as it is, for `length_from_trace` to refuse.
+    A generator: each chunk is a new list of at most `_CHUNK` traces, and
+    the stretches go into the caller's list `stretches` as they close.  The
+    walk starts at `reduce_to_minimal(triple)`, looked up when the first
+    chunk is asked for.  Stretch i covers the next n_i traces; the
+    stretches hold as many slopes as there are traces, all distinct, which
+    `_assert_distinct` checks, in O(1) state for each long stretch, after
+    the last chunk.  A kept child trace <= 2 is refused here; a NaN trace
+    is yielded as it is, for `length_from_trace` to refuse.
+
+    Before each emission the walk tests the chunk against `bound`, the
+    lesser of the chunk size and the room left under the record cap: a
+    chunk at the cap refuses the emission, and a full one is yielded and
+    replaced.  So the cap raises at the first emission past it, whatever
+    the chunk size, and a cut changes no float of the walk.
 
     The rising-run loop.  Take a step of a twist run, with traces ta, t and
     the kept tb, whose child that keeps a, c' = fl(fl(ta t) - tb), is pruned
@@ -255,13 +277,16 @@ def _walk(triple, length_cutoff, max_records):
     c > cutoff, and the run emits each trace up to the break, with no gap,
     and refuses none (each is > 2).  From such a step the walk forms
     c = t tb - ta, emits it and shifts, the same floats in the same order,
-    and counts the room left under the record cap instead of the list, so
-    the cap raises at the same emission.  A NaN fails the entry test; with
-    ta = t = inf both loops emit NaN to the cap.  In exact arithmetic
-    c' >= t alone gives t (t - 1) >= tb, and the test tb <= t is not needed;
-    it keeps the float argument free of a margin, and a reduced walk, where
-    in exact arithmetic each mediant's trace is the largest of its triangle,
-    meets it.
+    and counts the room left in the chunk instead of its length.  When the
+    room is spent, c is due: the loop hands the step (t, c) back to the
+    twist run, whose test before the emission refuses it at the cap or cuts
+    the chunk, and whose next step, which meets the conditions above,
+    enters the loop again with the same (ta, t, c).  A NaN fails the entry
+    test; with ta = t = inf both loops emit NaN to the cap.  In exact
+    arithmetic c' >= t alone gives t (t - 1) >= tb, and the test tb <= t is
+    not needed; it keeps the float argument free of a margin, and a reduced
+    walk, where in exact arithmetic each mediant's trace is the largest of
+    its triangle, meets it.
     """
     if not length_cutoff > 0.0:
         raise DomainError(f"length cutoff must be positive, got {length_cutoff!r}")
@@ -273,16 +298,23 @@ def _walk(triple, length_cutoff, max_records):
     root = reduce_to_minimal(triple)
     x0, y0, z0 = root.x, root.y, root.z
     trace_cutoff = 2.0 * cosh(0.5 * length_cutoff)
+    if max_records < 0:  # a negative cap is exceeded by no record at all
+        raise _record_limit(max_records, length_cutoff)
 
-    # the stretches, in order, hold the slopes of the traces, in order
-    stretches, traces = [], []
+    # the chunk takes `bound` more traces: then it is full, or at the record cap
+    chunk, done, bound = [], 0, min(_CHUNK, max_records)
+    emit = chunk.append
     for p, q, t in ((0, 1, x0), (1, 0, y0)):
         if not t > trace_cutoff:
+            if len(chunk) >= bound:  # as in the twist run below
+                if done + len(chunk) >= max_records:
+                    raise _record_limit(max_records, length_cutoff)
+                done += len(chunk)
+                yield chunk
+                chunk = []
+                emit, bound = chunk.append, min(_CHUNK, max_records - done)
             stretches.append((p, q, 0, 0, 1))
-            traces.append(t)
-    if len(traces) > max_records:
-        raise _record_limit(max_records, length_cutoff)
-    emit = traces.append
+            emit(t)
     # (ap, aq, bp, bq, ta, tb, t): the triangle that keeps a and b and adds a + b
     queue = deque(((0, 1, 1, 0, x0, y0, z0), (0, 1, -1, 0, x0, y0, x0 * y0 - z0)))
     while queue:
@@ -294,9 +326,14 @@ def _walk(triple, length_cutoff, max_records):
         while True:
             # `not t > cutoff` keeps a NaN trace (see the module docstring)
             if not t > trace_cutoff:
+                if len(chunk) >= bound:  # refuse t at the cap, or cut the full chunk
+                    if done + len(chunk) >= max_records:
+                        raise _record_limit(max_records, length_cutoff)
+                    done += len(chunk)
+                    yield chunk
+                    chunk = []
+                    emit, bound = chunk.append, min(_CHUNK, max_records - done)
                 emit(t)
-                if len(traces) > max_records:
-                    raise _record_limit(max_records, length_cutoff)
                 if n != end:  # a gap, or the first emission of the run
                     if start:
                         stretch = (ap + start * bp, aq + start * bq, bp, bq, end - start)
@@ -315,16 +352,18 @@ def _walk(triple, length_cutoff, max_records):
                 # pruned, and every later trace up to the break is emitted
                 c = t * tb - ta
                 if not c > trace_cutoff:
-                    before = len(traces)
-                    for _ in repeat(None, max_records - before):
+                    before = len(chunk)
+                    for _ in repeat(None, bound - before):
                         emit(c)
                         ta, t = t, c
                         c = t * tb - ta
                         if c > trace_cutoff:
                             break
-                    else:  # the room is spent and c is due
-                        raise _record_limit(max_records, length_cutoff)
-                    end += len(traces) - before
+                    else:  # the room is spent and c is due: its step emits it
+                        end += len(chunk) - before
+                        n, ta, t = end, t, c
+                        continue
+                    end += len(chunk) - before
                 break
             c = t * tb - ta
             if c > trace_cutoff and c >= t and c >= tb:
@@ -336,8 +375,27 @@ def _walk(triple, length_cutoff, max_records):
         if start:
             stretches.append((ap + start * bp, aq + start * bq, bp, bq, end - start))
 
-    _assert_distinct(stretches, len(traces))
-    return stretches, traces
+    done += len(chunk)
+    if chunk:
+        yield chunk
+    _assert_distinct(stretches, done)
+
+
+def trace_chunks(
+    triple: TraceTriple, length_cutoff: float, *, max_records: int = DEFAULT_MAX_RECORDS
+):
+    """The traces of `sorted_traces(triple, length_cutoff)`, chunk by chunk.
+
+    A generator of new lists of at most 4,096 traces each, in the order the
+    walk emits them, not sorted; joined, they hold each trace of the
+    spectrum once.  The walk runs as the chunks are asked for, and raises
+    each refusal of `sorted_traces` where it meets it: the cutoff and the
+    reduction before the first chunk, the record cap and a child trace
+    <= 2 at their emission, and a slope enumerated twice after the last
+    chunk.  No slope, length or record is built, and the collector runs as
+    the caller left it.
+    """
+    return _walk(triple, length_cutoff, max_records, [])
 
 
 def enumerate_geodesics(triple: TraceTriple, length_cutoff: float):
@@ -345,7 +403,8 @@ def enumerate_geodesics(triple: TraceTriple, length_cutoff: float):
 
     Records are sorted by (trace, slope) ascending, slopes in rational
     order, and so by length; distinct slopes of equal length stay distinct
-    records.  `sorted_traces` gives the same traces in the same order.
+    records.  `sorted_traces` gives the same traces in the same order: both
+    join the chunks of one walk, whose slopes fill a list of stretches.
     Slopes are assigned in the marking of the tree root,
     `reduce_to_minimal(triple)`: the root edge joins 0/1 and 1/0, with
     traces x and y, and its two triangles add 1/1 (trace z) and -1/1
@@ -361,7 +420,9 @@ def enumerate_geodesics(triple: TraceTriple, length_cutoff: float):
     the lengths are formed; the caller's state is restored on return and on
     every raise.
     """
-    stretches, traces = _walk(triple, length_cutoff, DEFAULT_MAX_RECORDS)
+    stretches = []
+    chunks = _walk(triple, length_cutoff, DEFAULT_MAX_RECORDS, stretches)
+    traces = list(chain.from_iterable(chunks))
     # unpaused, the 215,174 slopes and records of FN(24.8, 0, 0) at cutoff 25.5
     # trigger ~920 collections, near half the call; the walk's tuples trigger none
     was_enabled = gc.isenabled()
@@ -384,11 +445,13 @@ def sorted_traces(
 ):
     """The trace column of `enumerate_geodesics(triple, length_cutoff)`.
 
-    The same walk, refusals and order, with the collector as the caller
-    left it; no record, slope or length is built.  A caller forms each
-    length with `length_from_trace`, which refuses a NaN or <= 2 trace.
+    The chunks of `trace_chunks`, joined and sorted: the same walk,
+    refusals and order, with the collector as the caller left it; no
+    record, slope or length is built.  A caller forms each length with
+    `length_from_trace`, which refuses a NaN or <= 2 trace.
     """
-    traces = _walk(triple, length_cutoff, max_records)[1]  # frees the stretches
+    chunks = trace_chunks(triple, length_cutoff, max_records=max_records)
+    traces = list(chain.from_iterable(chunks))
     traces.sort()
     return traces
 

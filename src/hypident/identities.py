@@ -50,21 +50,24 @@ torus boundary k and an interior geodesic b, and
 
     4 pi^2 - sum_b 8 [2 La(e^{-b}, tanh^2(m/2)) + L(sech^2(p/2))].
 
-`evaluate` and `iter_terms` share one path: enumerate the spectrum, hand
-the kind's table kernel the sorted trace column and its length column, and
-round the exact sum of the terms it yields once, so the result does not
-depend on the order of the terms and both give the same sum bit for bit.
+`evaluate` and `iter_terms` share one path: walk the spectrum, hand the
+kind's table kernel sorted trace columns and their length columns, and
+round the exact sum of the terms it yields once, so the result depends on
+neither the order of the terms nor the cuts between columns, and both give
+the same sum bit for bit.
 A kernel is a column kernel: it maps the two columns to an iterator of
 terms, one for each geodesic, in order.  Most map their scalar bracket over
 the columns with `map`, which spends no Python frame of its own per term;
 `mcshane` is a chain of `map`s over `exp`, `add` and `truediv`, with no
 Python frame per term, cut where the lengths reach 700 (found by bisection
 on the sorted traces) and padded with the limit 0.0 past it.  `evaluate`
-sums the terms with `math.fsum` over `sorted_traces`, with the lengths of
-`torus.lengths_from_traces`, formed lazily as the kernel reads them: only
-the traces, untracked floats, outlive the walk.  `iter_terms` reads the
-columns off the records and yields each record with its term and the
-running sum (the CLI's `terms`), kept exactly as an int in units of
+takes the walk's chunks of at most 4,096 traces from `curves.trace_chunks`
+as they come, sorts each in place and maps it with the lengths of
+`torus.lengths_from_traces`, formed lazily as the kernel reads them; one
+`math.fsum` runs over the terms of the chunks in turn, so `evaluate` holds
+one chunk of untracked floats at a time, never the spectrum.  `iter_terms`
+reads the columns off the records and yields each record with its term and
+the running sum (the CLI's `terms`), kept exactly as an int in units of
 2^-1074 and rounded at each yield.
 """
 
@@ -76,7 +79,7 @@ from math import cosh, exp, expm1, pi, sqrt, tanh
 from operator import add, attrgetter, truediv
 from typing import NamedTuple
 
-from .curves import DEFAULT_MAX_RECORDS, GeodesicRecord, enumerate_geodesics, sorted_traces
+from .curves import DEFAULT_MAX_RECORDS, GeodesicRecord, enumerate_geodesics, trace_chunks
 from .dilog import ODD_SERIES_MAX, lasso, rogers, rogers_odd_series
 from .errors import DomainError
 from .pants import foursphere_ortho, pants_geometry, torus_ortho
@@ -444,19 +447,43 @@ def evaluate(
 ) -> IdentityReport:
     """Sum the `kind` terms over the spectrum of `triple` into a report.
 
-    `math.fsum` runs over the kind's column kernel on the trace column of
-    `sorted_traces` and its lazy length column, `lengths_from_traces`, which
-    checks the traces once, up front: no record and no length list is
-    built, and no Python frame is spent per trace.  The terms and sum are
-    those of `iter_terms`, bit for bit.
+    The chunks of `trace_chunks` are summed as the walk yields them.  Each
+    is sorted in place, so the kind's column kernel reads a sorted column
+    (the `mcshane` cut at length 700 bisects it), with its lazy length
+    column, `lengths_from_traces`, which checks the chunk once, up front.
+    One `math.fsum` runs over the terms of every chunk and rounds their
+    exact sum once, so neither the cuts nor the order moves a bit: the
+    count and sum are those of `iter_terms`.  No record, no length list and
+    no list of the spectrum is built, and no Python frame is spent per
+    trace.
+
+    After the kind and the point, refusals come in walk order: a chunk is
+    refused or summed before the walk goes on, and the check that no slope
+    was walked twice runs after the last one.  So a point refused on two
+    counts reports the one met first: a failing term of an earlier chunk
+    comes before the record cap or a child trace <= 2 met later in the
+    walk, the walk's refusal before any term of the chunk it was filling,
+    and within a chunk the shortest failing length.  Either way the
+    refusal is typed.
+
     Four-holed-sphere kinds take the torus point through the two-to-one
     correspondence of interior geodesics: boundary c = k/2 and interior
     length a = 2b for each torus geodesic of length b.
     """
     k = triple.k
     kernel, _, target, reports_c = check_point_kind(kind, k)
-    traces = sorted_traces(triple, cutoff, max_records=max_records)
-    partial = math.fsum(kernel(k, traces, lengths_from_traces(traces)))
+    count = 0
+
+    def chunk_terms():
+        # one iterator of terms per chunk, sorted in place, so that fsum runs
+        # in C from one chunk to the next and no Python frame is resumed per term
+        nonlocal count
+        for chunk in trace_chunks(triple, cutoff, max_records=max_records):
+            chunk.sort()
+            count += len(chunk)
+            yield kernel(k, chunk, lengths_from_traces(chunk))
+
+    partial = math.fsum(chain.from_iterable(chunk_terms()))
     parameters = triple._asdict()
     if reports_c:
         parameters["c"] = 0.5 * k
@@ -464,7 +491,7 @@ def evaluate(
         kind=kind,
         parameters=parameters,
         cutoff=cutoff,
-        term_count=len(traces),
+        term_count=count,
         partial_sum=partial,
         target=target,
         defect=target - partial,

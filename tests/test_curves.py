@@ -1,8 +1,9 @@
 import gc
 import random
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from math import acosh, cosh, exp, gcd, inf, log, nan, sinh, sqrt
 
 import pytest
@@ -31,6 +32,10 @@ from helpers import reference_walk
 # FN(8, 0, 0) with y one ulp lower: at cutoff 20, 11 adjacent pairs of equal
 # length have unequal traces, and in 7 of them rational and trace order disagree
 PINNED = trace_triple(54.61646567203297, 2.0013423008033646, 54.653121534907235)
+
+# the chunk sizes a chunked walk is checked at: cuts after every trace, every
+# other one, at odd places, and at the library's own size
+CHUNK_SIZES = (1, 2, 7, curves._CHUNK)
 
 
 def _refusal(call):
@@ -205,12 +210,20 @@ def test_resource_cap_counts_twist_run_emissions(monkeypatch):
     assert _refusal(lambda: sorted_traces(triple, 20.0, max_records=count - 1)) == refused
 
 
-def test_resource_cap_counts_root_emissions():
-    # the roots 0/1 and 1/0 are the only records here: the walk emits none
+def test_resource_cap_counts_root_emissions(monkeypatch):
+    # the roots 0/1 and 1/0 are the only records here: the walk emits none,
+    # and a cut between them does not reset the count
     triple = trace_triple(3.0, 3.0, 4.5)
-    assert len(sorted_traces(triple, 2.0 * acosh(2.0), max_records=2)) == 2
-    with pytest.raises(ResourceLimitError):
-        sorted_traces(triple, 2.0 * acosh(2.0), max_records=1)
+    for size in CHUNK_SIZES:
+        monkeypatch.setattr(curves, "_CHUNK", size)
+        assert len(sorted_traces(triple, 2.0 * acosh(2.0), max_records=2)) == 2
+        for cap in (1, 0, -1):
+            with pytest.raises(ResourceLimitError, match=f"exceeded {cap} records"):
+                sorted_traces(triple, 2.0 * acosh(2.0), max_records=cap)
+    # below the shortest geodesic no trace is emitted: only a negative cap is exceeded
+    assert sorted_traces(triple, 0.1, max_records=0) == []
+    with pytest.raises(ResourceLimitError, match="exceeded -1 records below cutoff 0.1$"):
+        sorted_traces(triple, 0.1, max_records=-1)
 
 
 @pytest.mark.parametrize(
@@ -255,6 +268,12 @@ def test_walk_matches_a_plain_breadth_first_walk(triple, cutoff, reduce, request
     assert Counter(((r.slope.p, r.slope.q), r.trace.hex()) for r in records) == expected
 
 
+def _chunked_walk(triple, cutoff, max_records):
+    # the chunks that `_walk` yields, and the stretches it fills
+    stretches = []
+    return list(curves._walk(triple, cutoff, max_records, stretches)), stretches
+
+
 def _walked(stretches, traces):
     # (slope, trace bits) of every emission of `_walk`, its stretches expanded
     slopes = ((p + i * bp, q + i * bq) for p, q, bp, bq, n in stretches for i in range(n))
@@ -296,7 +315,9 @@ _WALK_FAMILIES = {
 def test_walk_is_the_reference_walk_bit_for_bit(family, monkeypatch):
     # the rising-run loop of `_walk` skips the child tests that the plain
     # breadth-first walk makes: at seeded points of each family, both emit the
-    # same slopes with the same trace bits, as many times
+    # same slopes with the same trace bits, as many times.  Cut into chunks of
+    # any size, even inside a rising run, the walk fills the same stretches
+    # and emits the same floats in the same order, in full chunks but the last
     draw, reduce = _WALK_FAMILIES[family]
     if not reduce:
         monkeypatch.setattr(curves, "reduce_to_minimal", lambda triple: triple)
@@ -306,13 +327,20 @@ def test_walk_is_the_reference_walk_bit_for_bit(family, monkeypatch):
         b, t, k, cutoff = draw(rng)
         try:
             triple = from_fenchel_nielsen(FenchelNielsen(b, t, k))
-            stretches, traces = curves._walk(triple, cutoff, 200_000)
+            _chunked_walk(triple, cutoff, 200_000)
         except DomainError:
             continue  # a refused point, or a wrong surface (NonHyperbolicError is one)
         root = curves.reduce_to_minimal(triple)
-        assert _walked(stretches, traces) == Counter(
-            (slope, trace.hex()) for slope, trace in reference_walk(root, cutoff)
-        ), (b, t, k, cutoff)
+        expected = Counter((slope, trace.hex()) for slope, trace in reference_walk(root, cutoff))
+        walks = []
+        for size in CHUNK_SIZES:
+            monkeypatch.setattr(curves, "_CHUNK", size)
+            chunks, stretches = _chunked_walk(triple, cutoff, 200_000)
+            assert all(chunks) and all(len(chunk) == size for chunk in chunks[:-1])
+            traces = list(chain.from_iterable(chunks))
+            assert _walked(stretches, traces) == expected, (b, t, k, cutoff, size)
+            walks.append((stretches, list(map(float.hex, traces))))
+        assert walks.count(walks[0]) == len(walks), (b, t, k, cutoff)
         x, y, z = root.x, root.y, root.z
         falling += min(z, x * y - z) < x  # a root run whose second trace is below its first
         steps = max(steps, max((n for *_, n in stretches), default=0))
@@ -329,12 +357,63 @@ def test_record_cap_inside_a_rising_run_refuses_at_the_same_count():
     # by the rising-run loop, which counts its room instead of the list
     triple = from_fenchel_nielsen(FenchelNielsen(12.0, 0.0, 0.0))
     total = len(sorted_traces(triple, 14.0))
-    assert total == 670 and max(n for *_, n in curves._walk(triple, 14.0, total)[0]) >= 300
+    assert total == 670 and max(n for *_, n in _chunked_walk(triple, 14.0, total)[1]) >= 300
     assert len(sorted_traces(triple, 14.0, max_records=total)) == total
     for cap in (total - 1, total // 2, 3):
         with pytest.raises(ResourceLimitError) as refused:
             sorted_traces(triple, 14.0, max_records=cap)
         assert str(refused.value) == f"enumeration exceeded {cap} records below cutoff 14.0"
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+def test_record_cap_at_a_chunk_cut_refuses_at_the_same_count(size, monkeypatch):
+    # FN(19, 0, 0) at cutoff 20: the two roots, then two rising runs of 7,247.
+    # A cap at a multiple of the chunk size, or one either side of it, inside
+    # a run: the walk yields a prefix of its emissions, never past the cap,
+    # then refuses the next one, and `sorted_traces` and `evaluate` refuse
+    # with the same message
+    monkeypatch.setattr(curves, "_CHUNK", size)
+    triple = from_fenchel_nielsen(FenchelNielsen(19.0, 0.0, 0.0))
+    chunks, stretches = _chunked_walk(triple, 20.0, 14_496)
+    emitted = list(chain.from_iterable(chunks))
+    assert len(emitted) == 14_496 and [n for *_, n in stretches] == [1, 1, 7_247, 7_247]
+    for at in (3_000, 8_900, 14_495):
+        middle = -(-at // size) * size  # the first multiple of the size from `at` on
+        for cap in (middle - 1, middle, middle + 1):
+            if cap >= 14_496:
+                continue
+            # the last trace under the cap and the refused one are in one run
+            assert 2 <= cap - 1 and cap < 7_249 or 7_249 <= cap - 1 and cap < 14_496
+            message = f"enumeration exceeded {cap} records below cutoff 20.0"
+            yielded = []
+            with pytest.raises(ResourceLimitError, match=f"^{message}$"):
+                for chunk in curves._walk(triple, 20.0, cap, []):
+                    yielded += chunk
+            assert yielded == emitted[: len(yielded)] and cap - size <= len(yielded) < cap
+            refused = (ResourceLimitError, message)
+            assert _refusal(lambda: sorted_traces(triple, 20.0, max_records=cap)) == refused
+            assert _refusal(
+                lambda: evaluate(IdentityKind.MCSHANE, triple, 20.0, max_records=cap)
+            ) == refused
+    assert sorted_traces(triple, 20.0, max_records=14_496) == sorted(emitted)
+    assert evaluate(IdentityKind.MCSHANE, triple, 20.0, max_records=14_496).term_count == 14_496
+
+
+def test_a_slope_walked_twice_is_refused_after_the_last_chunk(monkeypatch):
+    # both root triangles queued twice: every slope past the roots is walked
+    # twice, in overlapping stretches, and the duplicate check after the last
+    # chunk refuses the walk however it is cut, from `evaluate` as well
+    monkeypatch.setattr(curves, "deque", lambda entries: deque([*entries, *entries]))
+    modular = trace_triple(3.0, 3.0, 3.0)
+    for size in CHUNK_SIZES:
+        monkeypatch.setattr(curves, "_CHUNK", size)
+        for call in (
+            lambda: sorted_traces(modular, 10.0),
+            lambda: enumerate_geodesics(modular, 10.0),
+            lambda: evaluate(IdentityKind.THM12, modular, 10.0),
+        ):
+            with pytest.raises(AssertionError, match="a slope was enumerated twice"):
+                call()
 
 
 def test_overlapping_stretches_trip_the_duplicate_check():

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from math import acosh, cosh, exp, expm1, fsum, inf, isfinite, log, nan, nextafter, pi, tanh, ulp
 
 from pathlib import Path
@@ -623,7 +624,7 @@ def test_unknown_kind_is_refused_before_enumeration(monkeypatch):
         raise AssertionError("the spectrum was enumerated")
 
     monkeypatch.setattr(identities, "enumerate_geodesics", unreachable)
-    monkeypatch.setattr(identities, "sorted_traces", unreachable)
+    monkeypatch.setattr(identities, "trace_chunks", unreachable)
     # the cusp, a holed point, and a cutoff below its shortest geodesic
     for triple, cutoff in ((MODULAR, 25.0), (HOLED, 25.0), (HOLED, 0.1)):
         for kind in ("thm11", None, ["thm11"]):
@@ -674,16 +675,57 @@ THIN = from_fenchel_nielsen(FenchelNielsen(8.0, 0.0, 0.0))
 PINNED = trace_triple(54.61646567203297, 2.0013423008033646, 54.653121534907235)
 
 
+# the chunk sizes `evaluate` is checked at: cuts after every trace, every other
+# one, at odd places, and at the library's own size
+CHUNK_SIZES = (1, 2, 7, curves._CHUNK)
+
+
 @pytest.mark.parametrize("kind", list(IdentityKind), ids=lambda kind: kind.value)
-def test_iter_terms_agrees_with_evaluate(kind):
-    points = [(_point_for(kind), 14.0)] + [(THIN, 20.0), (PINNED, 20.0)] * (kind in CUSPED_KINDS)
+def test_iter_terms_agrees_with_evaluate(kind, monkeypatch):
+    # `evaluate` sums the walk chunk by chunk: however it is cut, its count and
+    # sum are those of `iter_terms` over the sorted records.  FN(19, 0, 0) at
+    # cutoff 20 has 14,496 records, past one chunk of the library's size
+    points = [(_point_for(kind), 14.0)] + [
+        (THIN, 20.0), (PINNED, 20.0), (from_fenchel_nielsen(FenchelNielsen(19.0, 0.0, 0.0)), 20.0)
+    ] * (kind in CUSPED_KINDS)
     for triple, cutoff in points:
         yielded = list(iter_terms(kind, triple, cutoff))
-        report = evaluate(kind, triple, cutoff)
-        assert len(yielded) == report.term_count
-        assert yielded[-1][2].hex() == report.partial_sum.hex()
         lengths = [record.length for record, _, _ in yielded]
         assert lengths == sorted(lengths)
+        for size in CHUNK_SIZES:
+            monkeypatch.setattr(curves, "_CHUNK", size)
+            report = evaluate(kind, triple, cutoff)
+            assert len(yielded) == report.term_count, size
+            assert yielded[-1][2].hex() == report.partial_sum.hex(), size
+    # the last cusped point spans more than one chunk of the library's size
+    assert kind not in CUSPED_KINDS or len(yielded) == 14_496 > CHUNK_SIZES[-1]
+
+
+def test_mcshane_sum_crosses_length_700_chunk_by_chunk(monkeypatch):
+    # the modular torus at cutoff 705: 134,742 records, 1,920 of them past
+    # length 700, spread over the chunks.  Each chunk is sorted and cut at 700
+    # on its own, many of them inside; every term has the bits of
+    # `term_mcshane`, and the count and sum are the ones of one sorted column
+    lengths = [record.length for record in enumerate_geodesics(MODULAR, 705.0)]
+    assert sum(length >= 700.0 for length in lengths) == 1_920
+    expected = Counter(term_mcshane(b).hex() for b in lengths)
+    kernel, *row = identities._IDENTITIES[IdentityKind.MCSHANE]
+
+    def spy(k, traces, column):
+        nonlocal crossing
+        crossing += length_from_trace(traces[0]) < 700.0 <= length_from_trace(traces[-1])
+        terms.extend(kernel(k, traces, column))
+        return iter(terms[len(terms) - len(traces):])
+
+    monkeypatch.setitem(identities._IDENTITIES, IdentityKind.MCSHANE, (spy, *row))
+    for size in CHUNK_SIZES[1:]:  # a chunk of one trace cannot cross
+        monkeypatch.setattr(curves, "_CHUNK", size)
+        terms, crossing = [], 0
+        report = evaluate(IdentityKind.MCSHANE, MODULAR, 705.0)
+        assert report.term_count == 134_742
+        assert report.partial_sum.hex() == "0x1.fffffffffffffp-2"
+        assert Counter(map(float.hex, terms)) == expected, size
+        assert crossing > 10, (size, crossing)
 
 
 def test_thin_cusp_mcshane_sum_is_pinned():
@@ -695,23 +737,32 @@ def test_thin_cusp_mcshane_sum_is_pinned():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
 def test_a_million_thin_cusp_records_fit_in_bounded_memory():
-    # 830,022 records in two twist runs: the duplicate check holds O(1) state
-    # for each run and `evaluate` builds no length list, so a fresh process
-    # peaks near 46 MB; with a set key and a boxed length per record, 111 MB
+    # `evaluate` sums the walk chunk by chunk, so it holds one chunk of traces
+    # at a time: in a fresh process, neither the 830,022 records of
+    # FN(27.5, 0, 0) nor the 1,757,194 of FN(29, 0, 0) lifts the peak RSS 4 MB
+    # past its value after import.  With one list of the spectrum's traces,
+    # the peak rose by 35 and 74 MB
     src = Path(__file__).resolve().parent.parent / "src"
-    code = (
-        f"import resource, sys; sys.path.insert(0, {str(src)!r}); "
-        "from hypident import FenchelNielsen, IdentityKind, evaluate, from_fenchel_nielsen; "
-        "triple = from_fenchel_nielsen(FenchelNielsen(27.5, 0.0, 0.0)); "
-        "report = evaluate(IdentityKind.MCSHANE, triple, 28.2); "
-        "print(report.term_count, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
-    )
+    code = "\n".join((
+        f"import resource, sys; sys.path.insert(0, {str(src)!r})",
+        "from hypident import FenchelNielsen, IdentityKind, evaluate, from_fenchel_nielsen",
+        "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+        "after_import = peak()",
+        "for b, cutoff in ((27.5, 28.2), (29.0, 29.7)):",
+        "    triple = from_fenchel_nielsen(FenchelNielsen(b, 0.0, 0.0))",
+        "    report = evaluate(IdentityKind.MCSHANE, triple, cutoff)",
+        "    print(report.term_count, report.partial_sum.hex(), peak() - after_import)",
+    ))
     result = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120
     )
     assert (result.returncode, result.stderr) == (0, "")
-    count, kib = map(int, result.stdout.split())
-    assert count == 830_022 and kib < 80 * 1024, (count, kib / 1024)
+    runs = [line.split() for line in result.stdout.splitlines()]
+    assert [(int(count), hexed) for count, hexed, _ in runs] == [
+        (830_022, "0x1.ffffeb2fdfb7ap-2"), (1_757_194, "0x1.fffff62b7f7f7p-2")
+    ]
+    grown = [int(kib) / 1024 for *_, kib in runs]
+    assert max(grown) < 4.0, grown
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
@@ -781,3 +832,20 @@ def test_iter_terms_and_evaluate_refuse_alike_at_the_record_cap(monkeypatch):
     monkeypatch.setattr(curves, "DEFAULT_MAX_RECORDS", 174)
     assert len(list(iter_terms(IdentityKind.THM12, MODULAR, 25.0))) == 174
     assert evaluate(IdentityKind.THM12, MODULAR, 25.0, max_records=174).term_count == 174
+
+
+def test_evaluate_refuses_what_the_walk_meets_first(monkeypatch):
+    # chunks of 7 on the modular torus: a term refused in the first chunk
+    # comes before the record cap that a later chunk would meet, and a cap
+    # met while the walk fills the first chunk comes before any of its terms
+    monkeypatch.setattr(curves, "_CHUNK", 7)
+    row = identities._IDENTITIES[IdentityKind.THM12][1:]
+
+    def refusing(k, traces, lengths):
+        raise DomainError(f"a term of a chunk of {len(traces)} refused")
+
+    monkeypatch.setitem(identities._IDENTITIES, IdentityKind.THM12, (refusing, *row))
+    with pytest.raises(DomainError, match="^a term of a chunk of 7 refused$"):
+        evaluate(IdentityKind.THM12, MODULAR, 25.0, max_records=10)
+    with pytest.raises(ResourceLimitError, match="^enumeration exceeded 5 records"):
+        evaluate(IdentityKind.THM12, MODULAR, 25.0, max_records=5)
