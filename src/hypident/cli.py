@@ -192,23 +192,19 @@ def _cmd_sweep(args, out):
     slots = args.fn.split(",")
     if len(slots) != 3:
         raise _UsageError(f"--fn expects b,t,k with one _ slot, got {args.fn!r}")
-    slot_names = ("b", "t", "k")
-    if slots.count("_") != 1 or slot_names[slots.index("_")] != name:
+    slot = "btk".index(name)
+    if slots.count("_") != 1 or slots[slot] != "_":
         raise _UsageError(f"--fn must hold _ exactly in the {name!r} slot, got {args.fn!r}")
-    fixed = {}
-    for slot, text in zip(slot_names, slots):
-        if text != "_":
-            try:
-                fixed[slot] = float(text)
-            except ValueError:
-                raise _UsageError(f"malformed number in --fn={args.fn!r}") from None
+    try:
+        coords = [0.0 if text == "_" else float(text) for text in slots]
+    except ValueError:
+        raise _UsageError(f"malformed number in --fn={args.fn!r}") from None
 
     columns = attrgetter(*_SWEEP_FIELDS)
     rows = []
     for value in values:
-        params = dict(fixed)
-        params[name] = value
-        triple = from_fenchel_nielsen(FenchelNielsen(params["b"], params["t"], params["k"]))
+        coords[slot] = value
+        triple = from_fenchel_nielsen(FenchelNielsen(*coords))
         rows.append((name, value, *columns(evaluate(kind, triple, args.cutoff))))
     header = ["param_name", "param_value", *_SWEEP_FIELDS]
     if args.out:

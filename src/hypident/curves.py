@@ -62,14 +62,16 @@ stretch, is one to one, and the keys of a stretch are one `range`.  A
 stretch no longer than the number of stretches puts its keys in a set; a
 longer one, a thin twist run, stays a `range`, met with the set by `in`
 and with each other long one as two arithmetic progressions.
-`trace_chunks` gives the chunks as they come; `identities.evaluate` sums
-each one as it arrives.  `enumerate_geodesics` and `sorted_traces` join
-them: the first expands the stretches into `Slope` tuples, builds the
-records in bulk, and sorts them by (trace, slope), and so by length; the
-second sorts the traces as plain floats.  None of the three forms a
-length: each is formed with `torus.length_from_trace`, which refuses a
-NaN or <= 2 trace; from a validated root, such a trace cannot get
-through the walk.
+The walk has two readers.  `trace_chunks` gives the chunks as they come,
+and `identities.evaluate` sums each one as it arrives.
+`enumerate_geodesics` joins them, expands the stretches into `Slope`
+tuples, builds the records in bulk, and sorts them by (trace, slope), and
+so by length.  Both cap the walk at `DEFAULT_MAX_RECORDS`, read when they
+are called; only `trace_chunks` takes another cap, as `max_records`.
+The walk forms no length: `enumerate_geodesics` forms each with
+`torus.length_from_trace`, and `evaluate` with its column form, which
+refuse a NaN or <= 2 trace; from a validated root, such a trace cannot
+get through the walk.
 
 Slope arithmetic is exact (Python integers); traces are binary64.
 
@@ -105,7 +107,6 @@ __all__ = [
     "markov_child",
     "reduce_to_minimal",
     "enumerate_geodesics",
-    "sorted_traces",
     "trace_chunks",
     "brute_force_trace",
     "DEFAULT_MAX_RECORDS",
@@ -381,20 +382,21 @@ def _walk(triple, length_cutoff, max_records, stretches):
     _assert_distinct(stretches, done)
 
 
-def trace_chunks(
-    triple: TraceTriple, length_cutoff: float, *, max_records: int = DEFAULT_MAX_RECORDS
-):
-    """The traces of `sorted_traces(triple, length_cutoff)`, chunk by chunk.
+def trace_chunks(triple: TraceTriple, length_cutoff: float, *, max_records: int | None = None):
+    """The traces of `enumerate_geodesics(triple, length_cutoff)`, chunk by chunk.
 
     A generator of new lists of at most 4,096 traces each, in the order the
     walk emits them, not sorted; joined, they hold each trace of the
     spectrum once.  The walk runs as the chunks are asked for, and raises
-    each refusal of `sorted_traces` where it meets it: the cutoff and the
-    reduction before the first chunk, the record cap and a child trace
+    each refusal of `enumerate_geodesics` where it meets it: the cutoff and
+    the reduction before the first chunk, the record cap and a child trace
     <= 2 at their emission, and a slope enumerated twice after the last
-    chunk.  No slope, length or record is built, and the collector runs as
-    the caller left it.
+    chunk.  The cap is `max_records`, or if it is None `DEFAULT_MAX_RECORDS`
+    as it stands at this call.  No slope, length or record is built, and
+    the collector runs as the caller left it.
     """
+    if max_records is None:
+        max_records = DEFAULT_MAX_RECORDS
     return _walk(triple, length_cutoff, max_records, [])
 
 
@@ -403,12 +405,12 @@ def enumerate_geodesics(triple: TraceTriple, length_cutoff: float):
 
     Records are sorted by (trace, slope) ascending, slopes in rational
     order, and so by length; distinct slopes of equal length stay distinct
-    records.  `sorted_traces` gives the same traces in the same order: both
-    join the chunks of one walk, whose slopes fill a list of stretches.
-    Slopes are assigned in the marking of the tree root,
-    `reduce_to_minimal(triple)`: the root edge joins 0/1 and 1/0, with
-    traces x and y, and its two triangles add 1/1 (trace z) and -1/1
-    (trace xy - z).  The module docstring describes the walk.
+    records.  They join the chunks of the walk that `trace_chunks` gives,
+    with the slopes of its list of stretches.  Slopes are assigned in the
+    marking of the tree root, `reduce_to_minimal(triple)`: the root edge
+    joins 0/1 and 1/0, with traces x and y, and its two triangles add 1/1
+    (trace z) and -1/1 (trace xy - z).  The module docstring describes the
+    walk.
 
     The reduction refuses a triple that `trace_triple` refuses, a cutoff
     outside (0, 1419] raises `DomainError`, more than `DEFAULT_MAX_RECORDS`
@@ -438,22 +440,6 @@ def enumerate_geodesics(triple: TraceTriple, length_cutoff: float):
         if was_enabled:
             gc.enable()
     return records
-
-
-def sorted_traces(
-    triple: TraceTriple, length_cutoff: float, *, max_records: int = DEFAULT_MAX_RECORDS
-):
-    """The trace column of `enumerate_geodesics(triple, length_cutoff)`.
-
-    The chunks of `trace_chunks`, joined and sorted: the same walk,
-    refusals and order, with the collector as the caller left it; no
-    record, slope or length is built.  A caller forms each length with
-    `length_from_trace`, which refuses a NaN or <= 2 trace.
-    """
-    chunks = trace_chunks(triple, length_cutoff, max_records=max_records)
-    traces = list(chain.from_iterable(chunks))
-    traces.sort()
-    return traces
 
 
 _ORACLE_SCALE = 50

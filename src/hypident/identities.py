@@ -79,7 +79,7 @@ from math import cosh, exp, expm1, pi, sqrt, tanh
 from operator import add, attrgetter, truediv
 from typing import NamedTuple
 
-from .curves import DEFAULT_MAX_RECORDS, GeodesicRecord, enumerate_geodesics, trace_chunks
+from .curves import GeodesicRecord, enumerate_geodesics, trace_chunks
 from .dilog import ODD_SERIES_MAX, lasso, rogers, rogers_odd_series
 from .errors import DomainError
 from .pants import foursphere_ortho, pants_geometry, torus_ortho
@@ -443,7 +443,7 @@ def evaluate(
     triple: TraceTriple,
     cutoff: float,
     *,
-    max_records: int = DEFAULT_MAX_RECORDS,
+    max_records: int | None = None,
 ) -> IdentityReport:
     """Sum the `kind` terms over the spectrum of `triple` into a report.
 
@@ -455,7 +455,9 @@ def evaluate(
     exact sum once, so neither the cuts nor the order moves a bit: the
     count and sum are those of `iter_terms`.  No record, no length list and
     no list of the spectrum is built, and no Python frame is spent per
-    trace.
+    trace.  `max_records` goes to `trace_chunks` as it is: None caps the
+    walk at `curves.DEFAULT_MAX_RECORDS` as it stands at the call, as for
+    `iter_terms`.
 
     After the kind and the point, refusals come in walk order: a chunk is
     refused or summed before the walk goes on, and the check that no slope

@@ -4,13 +4,17 @@ These stay deliberately separate from the library code paths they check:
 the dilogarithm oracle uses mpmath at 40 digits, the seam oracle places
 explicit hyperbolic matrices and bisects on the resulting boundary trace,
 and the reference walk visits the Markov tree one node at a time, without
-the twist runs and stretches of `curves`.
+the twist runs and stretches of `curves`.  `sorted_traces` is no oracle:
+it reads the library's own walk, as one sorted trace column.
 """
 
 from collections import deque
+from itertools import chain
 from math import cosh, exp, sinh
 
 import mpmath
+
+from hypident import trace_chunks
 
 mpmath.mp.dps = 40
 
@@ -106,3 +110,9 @@ def reference_walk(root, length_cutoff):
             if not (c > cutoff and c >= kept[0] and c >= kept[1]):
                 queue.append(child)
     return found
+
+
+def sorted_traces(triple, length_cutoff, *, max_records=None):
+    """The chunks of `trace_chunks`, joined and sorted: the trace column of the spectrum."""
+    chunks = trace_chunks(triple, length_cutoff, max_records=max_records)
+    return sorted(chain.from_iterable(chunks))

@@ -467,7 +467,7 @@ def test_package_imports_are_public_and_used():
 
 # the names of `hypident` before its `__all__` became the splice of its modules',
 # less `compensated_sum`, which went with the hand-written compensated sum, and
-# `spectrum_columns`, whose length column went when `sorted_traces` replaced it
+# `spectrum_columns`, whose columns `evaluate` now forms from `trace_chunks`
 _PACKAGE_NAMES = """
     DomainError FenchelNielsen GeodesicRecord IdentityKind IdentityReport NoRealStructureError
     NonHyperbolicError Orthogeodesics PantsGeometry ResourceLimitError SingularInputError Slope
@@ -498,12 +498,20 @@ def test_package_exports_each_module_all():
     strings = [n.value for n in ast.walk(tree)
                if isinstance(n, ast.Constant) and isinstance(n.value, str)]
     assert strings == [ast.get_docstring(tree, clean=False), hypident.__version__]
-    # a module defines each name of its own `__all__`, not only imports it
-    for path in sorted((SRC / "hypident").glob("*.py")):
+    # a module defines each name of its own `__all__`, not only imports it, and
+    # each is read somewhere in the package or is one of its names above: a
+    # public name that no module reads and that the package never exported is dead
+    paths = sorted((SRC / "hypident").glob("*.py"))
+    trees = [ast.parse(path.read_text()) for path in paths]
+    read = {n.id for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for path, tree in zip(paths, trees):
         names, spliced = _public_names(path)
         if not spliced:
-            defined = {name for _, name in _defined(ast.parse(path.read_text()))}
+            defined = {name for _, name in _defined(tree)}
             assert set(names) <= defined, f"{path.name}: {sorted(set(names) - defined)}"
+            dead = set(names) - read - set(_PACKAGE_NAMES)
+            assert not dead, f"{path.name}: {sorted(dead)} never read"
 
 
 def test_out_of_range_traces_exit_two():

@@ -23,11 +23,11 @@ from hypident import (
     length_from_trace,
     markov_child,
     reduce_to_minimal,
-    sorted_traces,
+    trace_chunks,
     trace_triple,
 )
 from hypident import curves, identities
-from helpers import reference_walk
+from helpers import reference_walk, sorted_traces
 
 # FN(8, 0, 0) with y one ulp lower: at cutoff 20, 11 adjacent pairs of equal
 # length have unequal traces, and in 7 of them rational and trace order disagree
@@ -467,16 +467,16 @@ def test_duplicate_check_agrees_with_a_set_of_slopes():
     assert len(tally) == 4 and min(tally.values()) >= 1000, tally
 
 
-def test_sorted_traces_builds_no_slope(monkeypatch):
+def test_trace_chunks_builds_no_slope(monkeypatch):
     triple = from_fenchel_nielsen(FenchelNielsen(8.0, 0.0, 0.0))
-    expected = sorted_traces(triple, 20.0)
+    expected = list(trace_chunks(triple, 20.0))
 
     def refuse(*args):
         raise AssertionError("a slope was built")
 
     monkeypatch.setattr(curves, "_make_slope", refuse)
     monkeypatch.setattr(curves, "Slope", refuse)
-    assert sorted_traces(triple, 20.0) == expected
+    assert list(trace_chunks(triple, 20.0)) == expected
     with pytest.raises(AssertionError, match="a slope was built"):
         enumerate_geodesics(triple, 20.0)
 
@@ -534,7 +534,7 @@ def test_record_pass_refuses_a_bad_trace(unreduced):
 def test_collector_is_paused_through_the_record_pass(monkeypatch, unreduced):
     # `enumerate_geodesics` turns traces into lengths inside its pause, and a
     # raise there restores the collector; `evaluate` turns the traces of
-    # `sorted_traces` into lengths, through their column form, with the
+    # `trace_chunks` into lengths, through their column form, with the
     # collector as the caller left it.  (3, 3, 3) is its own reduction
     seen = []
     length_from_trace = curves.length_from_trace

@@ -37,7 +37,6 @@ from hypident import (
     pants_sum_term_via_complement,
     quasi_pants_term,
     rogers,
-    sorted_traces,
     tail_estimate,
     term_cusped,
     term_foursphere_cusped,
@@ -49,9 +48,10 @@ from hypident import (
     term_trace_squared,
     torus_contribution_partial,
     torus_ortho,
+    trace_chunks,
     trace_triple,
 )
-from helpers import rogers_mp, rogers_oracle
+from helpers import rogers_mp, rogers_oracle, sorted_traces
 
 PI2_2 = pi * pi / 2.0
 PI2_6 = pi * pi / 6.0
@@ -635,7 +635,7 @@ def test_unknown_kind_is_refused_before_enumeration(monkeypatch):
 
 
 def test_evaluate_builds_no_record(monkeypatch):
-    # evaluate sums over the traces of `sorted_traces`: no record is built
+    # evaluate sums over the chunks of `trace_chunks`: no record is built
     want = {kind: evaluate(kind, _point_for(kind), 14.0) for kind in IdentityKind}
 
     def unreachable(*args, **kwargs):
@@ -822,16 +822,24 @@ def test_iter_terms_rejects_cusped_kind_at_holed_point():
 
 
 def test_iter_terms_and_evaluate_refuse_alike_at_the_record_cap(monkeypatch):
-    # `iter_terms` walks under the cap `curves.DEFAULT_MAX_RECORDS`, read at call time
+    # `iter_terms` walks under the cap `curves.DEFAULT_MAX_RECORDS`, read at call
+    # time, and so do `evaluate` and `trace_chunks` when no `max_records` is passed
     monkeypatch.setattr(curves, "DEFAULT_MAX_RECORDS", 10)
-    with pytest.raises(ResourceLimitError) as by_iter:
+    with pytest.raises(ResourceLimitError, match="^enumeration exceeded 10 records") as by_iter:
         next(iter_terms(IdentityKind.THM12, MODULAR, 25.0))
-    with pytest.raises(ResourceLimitError) as by_evaluate:
-        evaluate(IdentityKind.THM12, MODULAR, 25.0, max_records=10)
-    assert str(by_iter.value) == str(by_evaluate.value)
+    for call in (
+        lambda: evaluate(IdentityKind.THM12, MODULAR, 25.0, max_records=10),
+        lambda: evaluate(IdentityKind.THM12, MODULAR, 25.0),
+        lambda: list(trace_chunks(MODULAR, 25.0)),
+    ):
+        with pytest.raises(ResourceLimitError) as by_other:
+            call()
+        assert str(by_other.value) == str(by_iter.value)
     monkeypatch.setattr(curves, "DEFAULT_MAX_RECORDS", 174)
     assert len(list(iter_terms(IdentityKind.THM12, MODULAR, 25.0))) == 174
     assert evaluate(IdentityKind.THM12, MODULAR, 25.0, max_records=174).term_count == 174
+    assert evaluate(IdentityKind.THM12, MODULAR, 25.0).term_count == 174
+    assert sum(map(len, trace_chunks(MODULAR, 25.0))) == 174
 
 
 def test_evaluate_refuses_what_the_walk_meets_first(monkeypatch):
