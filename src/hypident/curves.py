@@ -52,10 +52,9 @@ The slopes go as *stretches* into a list that the caller passes in.  A
 stretch (p, q, bp, bq, n) stands for the n slopes (p, q) + i (bp, bq),
 i < n, whose traces are the next n traces; each root is a stretch of
 length 1 with step (0, 0).  Queue entries and twist runs hold a and b as
-integers, and the emissions of a run extend one stretch with step b; the
-run's traces are convex, so a gap, which would close the stretch and open
-another, is not expected.  No slope is built in the walk: the vectors of
-a child are formed only when it is queued or refused.  After the last
+integers, and the emissions of a run, which are contiguous (`_walk` gives
+the argument), extend one stretch with step b.  No slope is built in the
+walk: the vectors of a child are formed only when it is queued or refused.  After the last
 chunk, an integer key checks that no slope was emitted twice:
 (p, q) -> q m + p, with m - 1 twice the largest |p0| + (n - 1)|bp| of a
 stretch, is one to one, and the keys of a stretch are one `range`.  A
@@ -68,10 +67,9 @@ and `identities.evaluate` sums each one as it arrives.
 tuples, builds the records in bulk, and sorts them by (trace, slope), and
 so by length.  Both cap the walk at `DEFAULT_MAX_RECORDS`, read when they
 are called; only `trace_chunks` takes another cap, as `max_records`.
-The walk forms no length: `enumerate_geodesics` forms each with
-`torus.length_from_trace`, and `evaluate` with its column form, which
-refuse a NaN or <= 2 trace; from a validated root, such a trace cannot
-get through the walk.
+The walk forms no length: `enumerate_geodesics` and `evaluate` form them
+with `torus.lengths_from_traces`, which refuses a NaN or <= 2 trace; from
+a validated root, such a trace cannot get through the walk.
 
 Slope arithmetic is exact (Python integers); traces are binary64.
 
@@ -94,7 +92,7 @@ from .torus import (
     FenchelNielsen,
     TraceTriple,
     fenchel_nielsen_matrices,
-    length_from_trace,
+    lengths_from_traces,
     mat_inv,
     mat_mul,
     mat_trace,
@@ -252,7 +250,15 @@ def _walk(triple, length_cutoff, max_records, stretches):
     stretches hold as many slopes as there are traces, all distinct, which
     `_assert_distinct` checks, in O(1) state for each long stretch, after
     the last chunk.  A kept child trace <= 2 is refused here; a NaN trace
-    is yielded as it is, for `length_from_trace` to refuse.
+    is yielded as it is, for `lengths_from_traces` to refuse.
+
+    A twist run's emissions are contiguous, so one stretch, opened at the
+    first, holds them.  Every kept tb is > 2 or inf, so fl(tb t) >= 2 t (a
+    NaN makes every later trace NaN, each emitted): once a step does not
+    fall (t+ >= t), no later step falls, since t++ = fl(fl(tb t+) - t) >=
+    fl(2 t+ - t) >= t+.  The run is a valley, and its steps within the
+    cutoff are consecutive; `_assert_distinct` would count a gap as a slope
+    more than the traces.
 
     Before each emission the walk tests the chunk against `bound`, the
     lesser of the chunk size and the room left under the record cap: a
@@ -335,10 +341,7 @@ def _walk(triple, length_cutoff, max_records, stretches):
                     chunk = []
                     emit, bound = chunk.append, min(_CHUNK, max_records - done)
                 emit(t)
-                if n != end:  # a gap, or the first emission of the run
-                    if start:
-                        stretch = (ap + start * bp, aq + start * bq, bp, bq, end - start)
-                        stretches.append(stretch)
+                if not start:  # the first emission of the run
                     start = n
                 end = n + 1
             # a NaN compares false in both prune tests, so its subtree is kept, not lost
@@ -433,7 +436,7 @@ def enumerate_geodesics(triple: TraceTriple, length_cutoff: float):
         runs = (islice(zip(count(p, bp), count(q, bq)), n) for p, q, bp, bq, n in stretches)
         # the walk forms only canonical, primitive vectors: skip the check
         slopes = map(_make_slope, chain.from_iterable(runs))
-        records = list(map(_make_record, zip(slopes, traces, map(length_from_trace, traces))))
+        records = list(map(_make_record, zip(slopes, traces, lengths_from_traces(traces))))
         del stretches, traces  # the records hold every slope and float
         records.sort(key=attrgetter("trace", "slope"))
     finally:

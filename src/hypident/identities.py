@@ -38,8 +38,9 @@ classical horocycle identity).  The term functions:
     horocycle term: 1 / (1 + e^b), summing to 1/2 on the cusped torus.
 
 All brackets decay like e^{-b}; dilogarithm arguments are computed in
-overflow-free exponential forms, and beyond b = 700 a bracket is replaced
-by its analytic limit 0 (its true value is below 1e-300 there).
+overflow-free exponential forms, and from b = 700 on (b >= 700, in every
+test) a bracket is replaced by its analytic limit 0 (its true value is
+below 1e-300 there).
 
 The pants-level functions cover the building blocks of the corresponding
 identity on closed surfaces: `pants_sum_term` for an embedded three-holed
@@ -50,17 +51,16 @@ torus boundary k and an interior geodesic b, and
 
     4 pi^2 - sum_b 8 [2 La(e^{-b}, tanh^2(m/2)) + L(sech^2(p/2))].
 
-`evaluate` and `iter_terms` share one path: walk the spectrum, hand the
-kind's table kernel sorted trace columns and their length columns, and
-round the exact sum of the terms it yields once, so the result depends on
-neither the order of the terms nor the cuts between columns, and both give
-the same sum bit for bit.
-A kernel is a column kernel: it maps the two columns to an iterator of
-terms, one for each geodesic, in order.  Most map their scalar bracket over
-the columns with `map`, which spends no Python frame of its own per term;
-`mcshane` is a chain of `map`s over `exp`, `add` and `truediv`, with no
-Python frame per term, cut where the lengths reach 700 (found by bisection
-on the sorted traces) and padded with the limit 0.0 past it.  `evaluate`
+`evaluate` and `iter_terms` share one path: walk the spectrum, hand
+`_terms` sorted trace columns and their length columns, and round the
+exact sum of the terms it yields once, so the result depends on neither
+the order of the terms nor the cuts between columns, and both give the
+same sum bit for bit.  `_terms` is the one cut at length 700: it bisects
+the sorted traces there, and the kind's table kernel maps the columns
+below it to an iterator of terms, in order, with no limit test of its own.
+Most kernels `map` their scalar bracket, with no Python frame of their own
+per term; `mcshane` is a chain of `map`s over `exp`, `add` and `truediv`,
+with no Python frame per term.  `evaluate`
 takes the walk's chunks of at most 4,096 traces from `curves.trace_chunks`
 as they come, sorts each in place and maps it with the lengths of
 `torus.lengths_from_traces`, formed lazily as the kernel reads them; one
@@ -76,7 +76,7 @@ import math
 from bisect import bisect_left
 from itertools import chain, islice, repeat
 from math import cosh, exp, expm1, pi, sqrt, tanh
-from operator import add, attrgetter, truediv
+from operator import add, attrgetter, mul, truediv
 from typing import NamedTuple
 
 from .curves import GeodesicRecord, enumerate_geodesics, trace_chunks
@@ -159,7 +159,7 @@ def term_one_holed(k: float, b: float) -> float:
     """Bracket for a geodesic of length b on the torus with boundary k."""
     _check_positive("k", k)
     _check_positive("b", b)
-    if b > _LIMIT_LENGTH:
+    if b >= _LIMIT_LENGTH:
         return 0.0
     # (cosh(k/2)+1)/(cosh(k/2)+cosh b), scaled by e^{-m} against overflow
     m = max(0.5 * k, b)
@@ -174,7 +174,7 @@ def term_one_holed(k: float, b: float) -> float:
 def term_cusped(b: float) -> float:
     """Bracket for a geodesic of length b on the cusped torus."""
     _check_positive("b", b)
-    if b > _LIMIT_LENGTH:
+    if b >= _LIMIT_LENGTH:
         return 0.0
     s = exp(-b)
     if s > ODD_SERIES_MAX:
@@ -300,7 +300,7 @@ def quasi_pants_term(k: float, b: float) -> float:
     """
     _check_positive("k", k)
     _check_positive("b", b)
-    if b > _LIMIT_LENGTH:  # before the cut pants, whose cosh can overflow
+    if b >= _LIMIT_LENGTH:  # before the cut pants, whose cosh can overflow
         return 0.0
     m, p, q = torus_ortho(k, b)
     y = _lasso_guard(b, m)  # before the seam guard of term_ortho_torus
@@ -319,7 +319,7 @@ def torus_contribution_partial(k: float, records) -> float:
     _check_positive("k", k)
 
     def term(b):
-        if b > _LIMIT_LENGTH:  # as in `quasi_pants_term`
+        if b >= _LIMIT_LENGTH:  # as in `quasi_pants_term`
             return 0.0
         m, p, _ = torus_ortho(k, b)
         y = _lasso_guard(b, m)
@@ -328,52 +328,45 @@ def torus_contribution_partial(k: float, records) -> float:
     return 4.0 * pi * pi - math.fsum(term(record.length) for record in records)
 
 
-# these three take the limit 0 before t * t or the pants trigonometry can overflow
-def _thm15_term(b, t):
-    return 0.0 if b > _LIMIT_LENGTH else term_trace_squared(t * t)
-
-
-def _thm31_term(k, b):
-    if b > _LIMIT_LENGTH:
-        return 0.0
-    ortho = torus_ortho(k, b)
-    return term_ortho_torus(k, ortho.m, ortho.q)
-
-
-def _four_term(k, b):
-    if b > _LIMIT_LENGTH:
-        return 0.0
-    ortho = foursphere_ortho(0.5 * k, 2.0 * b)
-    return term_ortho_torus(k, ortho.m, ortho.p)
-
-
-def _mcshane_terms(_k, traces, lengths):
-    # `term_mcshane` with no frame per term: 1/(1 + e^b) below b = 700, and its
-    # limit 0.0 from there on; lengths grow with the sorted traces
-    short = bisect_left(traces, _LIMIT_LENGTH, key=length_from_trace)
-    return chain(
-        map(truediv, repeat(1.0), map(add, repeat(1.0), map(exp, islice(lengths, short)))),
-        repeat(0.0, len(traces) - short),
-    )
-
-
 # kind -> (kernel, cusped, target, reports_c).  kernel(k, traces, lengths) maps
-# the sorted trace column and its length column to the terms, in order, every
-# name inside it read at call time; a cusped kind needs k = 0, the others a
-# boundary k > 0; target is the value of the full sum; reports_c adds the
-# four-holed-sphere boundary c = k/2 to the parameters
+# the sorted trace column and its length column, below length 700, to the terms,
+# in order, every name inside it read at call time; a cusped kind needs k = 0, the
+# others a boundary k > 0; target is the value of the full sum; reports_c adds
+# the four-holed-sphere boundary c = k/2 to the parameters
 _IDENTITIES = {
     IdentityKind.THM11: (lambda k, t, b: map(term_one_holed, repeat(k), b), False, PI2_2, False),
     IdentityKind.THM12: (lambda k, t, b: map(term_cusped, b), True, PI2_2, False),
-    IdentityKind.THM15: (lambda k, t, b: map(_thm15_term, b, t), True, PI2_2, False),
-    IdentityKind.THM31: (lambda k, t, b: map(_thm31_term, repeat(k), b), False, PI2_2, False),
-    IdentityKind.FOUR: (lambda k, t, b: map(_four_term, repeat(k), b), False, PI2_2, True),
+    IdentityKind.THM15: (
+        lambda k, t, b: map(term_trace_squared, map(mul, t, t)), True, PI2_2, False
+    ),
+    IdentityKind.THM31: (
+        lambda k, t, b: (term_ortho_torus(k, m, q) for m, _, q in map(torus_ortho, repeat(k), b)),
+        False, PI2_2, False,
+    ),
+    IdentityKind.FOUR: (
+        lambda k, t, b: (
+            term_ortho_torus(k, m, p)
+            for m, p, _ in map(foursphere_ortho, repeat(0.5 * k), map(mul, repeat(2.0), b))
+        ),
+        False, PI2_2, True,
+    ),
     IdentityKind.FOUR_SIMPLE: (
         lambda k, t, b: map(term_one_holed, repeat(k), b), False, PI2_2, True
     ),
     IdentityKind.FOUR_CUSPED: (lambda k, t, b: map(term_cusped, b), True, PI2_2, True),
-    IdentityKind.MCSHANE: (_mcshane_terms, True, 0.5, False),
+    IdentityKind.MCSHANE: (  # `term_mcshane` below length 700
+        lambda k, t, b: map(truediv, repeat(1.0), map(add, repeat(1.0), map(exp, b))),
+        True, 0.5, False,
+    ),
 }
+
+
+def _terms(kernel, k, traces, lengths):
+    # the kernel's terms of the sorted columns below length 700, where the
+    # traces reach it, and from there on the limit 0.0
+    short = bisect_left(traces, _LIMIT_LENGTH, key=length_from_trace)
+    terms = kernel(k, traces[:short], islice(lengths, short))
+    return chain(terms, repeat(0.0, len(traces) - short))
 
 
 def _row(kind):
@@ -397,9 +390,9 @@ def check_point_kind(kind: IdentityKind, k: float):
 def identity_term(kind: IdentityKind, k: float, record: GeodesicRecord) -> float:
     """Contribution of one geodesic record to the identity `kind`.
 
-    The kind's kernel runs on the one-record columns (trace,) and (length,).
+    `_terms` runs the kind's kernel on the columns (trace,) and (length,).
     """
-    return next(_row(kind)[0](k, (record.trace,), (record.length,)))
+    return next(_terms(_row(kind)[0], k, (record.trace,), (record.length,)))
 
 
 def tail_estimate(k: float, cutoff: float) -> float:
@@ -429,7 +422,7 @@ def iter_terms(kind: IdentityKind, triple: TraceTriple, cutoff: float):
     k = triple.k
     kernel = check_point_kind(kind, k)[0]
     records = enumerate_geodesics(triple, cutoff)
-    terms = kernel(k, [record.trace for record in records], map(attrgetter("length"), records))
+    terms = _terms(kernel, k, [r.trace for r in records], map(attrgetter("length"), records))
     # the running sum, exactly, in units of 1/scale = 2^-1074, the least subnormal
     exact, scale = 0, 2**1074  # bound once: the compiler does not fold 2**1074
     for record, term in zip(records, terms):
@@ -448,9 +441,9 @@ def evaluate(
     """Sum the `kind` terms over the spectrum of `triple` into a report.
 
     The chunks of `trace_chunks` are summed as the walk yields them.  Each
-    is sorted in place, so the kind's column kernel reads a sorted column
-    (the `mcshane` cut at length 700 bisects it), with its lazy length
-    column, `lengths_from_traces`, which checks the chunk once, up front.
+    is sorted in place, so `_terms` cuts it at length 700 by bisection, with
+    its lazy length column, `lengths_from_traces`, which checks the chunk
+    once, up front.
     One `math.fsum` runs over the terms of every chunk and rounds their
     exact sum once, so neither the cuts nor the order moves a bit: the
     count and sum are those of `iter_terms`.  No record, no length list and
@@ -483,7 +476,7 @@ def evaluate(
         for chunk in trace_chunks(triple, cutoff, max_records=max_records):
             chunk.sort()
             count += len(chunk)
-            yield kernel(k, chunk, lengths_from_traces(chunk))
+            yield _terms(kernel, k, chunk, lengths_from_traces(chunk))
 
     partial = math.fsum(chain.from_iterable(chunk_terms()))
     parameters = triple._asdict()

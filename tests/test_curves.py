@@ -534,36 +534,31 @@ def test_record_pass_refuses_a_bad_trace(unreduced):
 def test_collector_is_paused_through_the_record_pass(monkeypatch, unreduced):
     # `enumerate_geodesics` turns traces into lengths inside its pause, and a
     # raise there restores the collector; `evaluate` turns the traces of
-    # `trace_chunks` into lengths, through their column form, with the
-    # collector as the caller left it.  (3, 3, 3) is its own reduction
+    # `trace_chunks` into lengths with the collector as the caller left it.
+    # Both read the column form.  (3, 3, 3) is its own reduction
     seen = []
-    length_from_trace = curves.length_from_trace
-    lengths_from_traces = identities.lengths_from_traces
-
-    def spy(trace):
-        seen.append(gc.isenabled())
-        return length_from_trace(trace)
+    lengths_from_traces = curves.lengths_from_traces
 
     def column_spy(traces):
         for length in lengths_from_traces(traces):
             seen.append(gc.isenabled())
             yield length
 
-    monkeypatch.setattr(curves, "length_from_trace", spy)
+    monkeypatch.setattr(curves, "lengths_from_traces", column_spy)
     monkeypatch.setattr(identities, "lengths_from_traces", column_spy)
     count = len(enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 10.0))
     evaluate(IdentityKind.MCSHANE, trace_triple(3.0, 3.0, 3.0), 10.0)
     assert count > 0 and seen == [False] * count + [True] * count
 
-    def refuse(trace):
+    def refuse(traces):
         raise ArithmeticError("refused inside the pause")
 
-    monkeypatch.setattr(curves, "length_from_trace", refuse)
+    monkeypatch.setattr(curves, "lengths_from_traces", refuse)
     with pytest.raises(ArithmeticError, match="inside the pause"):
         enumerate_geodesics(trace_triple(3.0, 3.0, 3.0), 10.0)
     assert gc.isenabled()
-    # `length_from_trace` refuses a bad trace of an unvalidated root, alike for both
-    monkeypatch.setattr(curves, "length_from_trace", length_from_trace)
+    # the column form refuses a bad trace of an unvalidated root, alike for both
+    monkeypatch.setattr(curves, "lengths_from_traces", lengths_from_traces)
     monkeypatch.setattr(identities, "lengths_from_traces", lengths_from_traces)
     root = TraceTriple(10.0, 2.0, 10.0, 4.0, 0.0)
     refused = _refusal(lambda: enumerate_geodesics(root, 4.0))

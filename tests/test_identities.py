@@ -224,21 +224,20 @@ def test_identity_term_dispatches_to_each_kernel():
 
 
 def test_every_kind_takes_the_limit_past_length_700():
-    # past b = 700 every bracket is below 1e-300; thm15 would square a trace
-    # near 1e308 there, and thm31 and four would build pants whose cosh overflows
+    # from b = 700 on every bracket is below 1e-300 and is 0.0; thm15 would square
+    # a trace near 1e308 there, and thm31 and four would build pants whose cosh overflows
     cusped = {IdentityKind.THM12, IdentityKind.THM15, IdentityKind.FOUR_CUSPED,
               IdentityKind.MCSHANE}
-    for b in (700.5, 709.9, 1419.0):
+    for b in (700.0, 700.5, 709.9, 1419.0):
         record = GeodesicRecord(None, 2.0 * cosh(0.5 * b), b)
         for kind in IdentityKind:
             k = 0.0 if kind in cusped else 1.0
             assert identity_term(kind, k, record) == 0.0, (kind, b)
 
 
-def test_mcshane_column_kernel_is_term_mcshane_term_by_term():
-    # a sorted column from length 1e-5 across 700 to 1419, with the traces
-    # next to the one whose length first rounds to >= 700: every term, the
-    # limit 0.0 past 700 included, has the bits of `term_mcshane`
+def _column_across_700():
+    # a sorted column from length 1e-5 across 700 to 1419, with the traces next
+    # to the one whose length first rounds to >= 700, and so 700.0 itself
     rng = random.Random(29)
     traces = [2.0 * cosh(0.5 * exp(rng.uniform(log(1e-5), log(1419.0)))) for _ in range(5_000)]
     edge = 2.0 * cosh(350.0)
@@ -248,15 +247,91 @@ def test_mcshane_column_kernel_is_term_mcshane_term_by_term():
     traces.sort()
     lengths = list(map(length_from_trace, traces))
     assert min(lengths) < 700.0 <= max(lengths) and 700.0 in lengths
-    kernel = identities._IDENTITIES[IdentityKind.MCSHANE][0]
-    terms = list(kernel(0.0, traces, lengths_from_traces(traces)))
-    assert [term.hex() for term in terms] == [term_mcshane(b).hex() for b in lengths]
+    return traces, lengths
+
+
+def test_column_terms_are_the_scalar_forms_term_by_term():
+    # every kind's terms of one sorted column across 700 have the bits of its
+    # scalar form, term by term.  From 700 on a term is the limit 0.0: the
+    # scalar forms of thm15, thm31 and four take no limit of their own (the
+    # trace squared, or the cut pants, overflows), and the others take it at
+    # the same length, 700.0 included
+    traces, lengths = _column_across_700()
+    k = 1.5
+
+    def ortho(b):
+        m, _, q = torus_ortho(k, b)
+        return term_ortho_torus(k, m, q)
+
+    def four(b):
+        m, p, _ = foursphere_ortho(0.5 * k, 2.0 * b)
+        return term_foursphere_ortho(0.5 * k, m, p)
+
+    scalar = {
+        IdentityKind.THM11: lambda t, b: term_one_holed(k, b),
+        IdentityKind.THM12: lambda t, b: term_cusped(b),
+        IdentityKind.THM15: lambda t, b: term_trace_squared(t * t) if b < 700.0 else 0.0,
+        IdentityKind.THM31: lambda t, b: ortho(b) if b < 700.0 else 0.0,
+        IdentityKind.FOUR: lambda t, b: four(b) if b < 700.0 else 0.0,
+        IdentityKind.FOUR_SIMPLE: lambda t, b: term_foursphere_simple(0.5 * k, 2.0 * b),
+        IdentityKind.FOUR_CUSPED: lambda t, b: term_foursphere_cusped(2.0 * b),
+        IdentityKind.MCSHANE: lambda t, b: term_mcshane(b),
+    }
+    assert set(scalar) == set(IdentityKind)
+    for kind, form in scalar.items():
+        kernel = identities._IDENTITIES[kind][0]
+        terms = identities._terms(kernel, k, traces, lengths_from_traces(traces))
+        assert [term.hex() for term in terms] == [
+            form(t, b).hex() for t, b in zip(traces, lengths)
+        ], kind
+
+
+def test_no_kernel_reads_a_length_from_700_on(monkeypatch):
+    # every kind's kernel, spied: each trace it is handed, and each length it
+    # reads, is below length 700.  FN(300, 0.5, 300) at cutoff 705 has 2,114
+    # records, 30 of them from length 700 on, and the modular torus 134,742,
+    # 1,920 of them; `evaluate`, `iter_terms` and `identity_term` hand the
+    # kernels the rest only, and the sums are those of the unspied kernels
+    read = []
+
+    def below_700(b):
+        assert b < 700.0, b
+        read.append(b)
+        return b
+
+    def spied(kernel):
+        def spy(k, traces, lengths):
+            assert all(length_from_trace(t) < 700.0 for t in traces), traces[-1]
+            return kernel(k, traces, map(below_700, lengths))
+
+        return spy
+
+    point = from_fenchel_nielsen(FenchelNielsen(300.0, 0.5, 300.0))
+    boundary = [kind for kind in IdentityKind if kind not in CUSPED_KINDS]
+    expected = {kind: evaluate(kind, point, 705.0) for kind in boundary}
+    expected[IdentityKind.MCSHANE] = evaluate(IdentityKind.MCSHANE, MODULAR, 705.0)
+    for kind, (kernel, *row) in list(identities._IDENTITIES.items()):
+        monkeypatch.setitem(identities._IDENTITIES, kind, (spied(kernel), *row))
+    for kind, report in expected.items():
+        triple = MODULAR if kind is IdentityKind.MCSHANE else point
+        read.clear()
+        assert evaluate(kind, triple, 705.0) == report, kind
+        assert len(read) == report.term_count - (1_920 if triple is MODULAR else 30), kind
+        if triple is point:
+            *_, (_, _, partial) = iter_terms(kind, triple, 705.0)
+            assert partial.hex() == report.partial_sum.hex(), kind
+    traces, lengths = _column_across_700()
+    for kind in IdentityKind:
+        k = 0.0 if kind in CUSPED_KINDS else 1.5
+        for t, b in zip(traces, lengths):
+            term = identity_term(kind, k, GeodesicRecord(None, t, b))
+            assert b < 700.0 or term == 0.0, (kind, b)
 
 
 def test_pants_level_terms_take_the_limit_past_length_700():
-    # as the table kernels do, after the positivity checks: the cut pants
-    # would give L(sech^2(p/2)) an overflowing cosh^2, or cosh itself overflow
-    for b in (700.5, 707.5, 709.5, 1419.0, 1e10):
+    # from b = 700 on, as the table kernels do, after the positivity checks: the cut
+    # pants would give L(sech^2(p/2)) an overflowing cosh^2, or cosh itself overflow
+    for b in (700.0, 700.5, 707.5, 709.5, 1419.0, 1e10):
         assert quasi_pants_term(0.5, b) == 0.0, b
         record = GeodesicRecord(None, inf, b)
         assert torus_contribution_partial(0.5, [record]) == 4.0 * pi * pi, b
@@ -702,22 +777,23 @@ def test_iter_terms_agrees_with_evaluate(kind, monkeypatch):
 
 
 def test_mcshane_sum_crosses_length_700_chunk_by_chunk(monkeypatch):
-    # the modular torus at cutoff 705: 134,742 records, 1,920 of them past
-    # length 700, spread over the chunks.  Each chunk is sorted and cut at 700
-    # on its own, many of them inside; every term has the bits of
-    # `term_mcshane`, and the count and sum are the ones of one sorted column
+    # the modular torus at cutoff 705: 134,742 records, 1,920 of them from
+    # length 700 on, spread over the chunks.  Each chunk is sorted, and
+    # `_terms` cuts it at 700 on its own, many of them inside; every term has
+    # the bits of `term_mcshane`, and the count and sum are the ones of one
+    # sorted column
     lengths = [record.length for record in enumerate_geodesics(MODULAR, 705.0)]
     assert sum(length >= 700.0 for length in lengths) == 1_920
     expected = Counter(term_mcshane(b).hex() for b in lengths)
-    kernel, *row = identities._IDENTITIES[IdentityKind.MCSHANE]
+    cut = identities._terms
 
-    def spy(k, traces, column):
+    def spy(kernel, k, traces, column):
         nonlocal crossing
         crossing += length_from_trace(traces[0]) < 700.0 <= length_from_trace(traces[-1])
-        terms.extend(kernel(k, traces, column))
+        terms.extend(cut(kernel, k, traces, column))
         return iter(terms[len(terms) - len(traces):])
 
-    monkeypatch.setitem(identities._IDENTITIES, IdentityKind.MCSHANE, (spy, *row))
+    monkeypatch.setattr(identities, "_terms", spy)
     for size in CHUNK_SIZES[1:]:  # a chunk of one trace cannot cross
         monkeypatch.setattr(curves, "_CHUNK", size)
         terms, crossing = [], 0
@@ -726,6 +802,13 @@ def test_mcshane_sum_crosses_length_700_chunk_by_chunk(monkeypatch):
         assert report.partial_sum.hex() == "0x1.fffffffffffffp-2"
         assert Counter(map(float.hex, terms)) == expected, size
         assert crossing > 10, (size, crossing)
+
+
+def test_thm12_sum_across_length_700_is_pinned():
+    # the modular torus at cutoff 705, where 1,920 brackets take the limit 0.0
+    report = evaluate(IdentityKind.THM12, MODULAR, 705.0)
+    assert report.term_count == 134_742
+    assert report.partial_sum.hex() == "0x1.3bd3cc9be45ddp+2"
 
 
 def test_thin_cusp_mcshane_sum_is_pinned():
