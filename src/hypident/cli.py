@@ -221,90 +221,68 @@ def _cmd_sweep(args, out):
 
 
 def _selftest_checks(seed):
+    """Yield (label, worst, bound) for each check, in order, from one seeded rng."""
     import random  # only selftest draws random points
     rng = random.Random(seed)
 
-    def dilog_values():
-        worst = max(
-            abs(rogers(0.0)),
-            abs(rogers(0.5) - PI2_6 / 2.0),
-            abs(rogers(1.0) - PI2_6),
-            abs(rogers(-1.0) + PI2_6 / 2.0),
-        )
-        return worst, 1e-13
+    worst = max(
+        abs(rogers(0.0)),
+        abs(rogers(0.5) - PI2_6 / 2.0),
+        abs(rogers(1.0) - PI2_6),
+        abs(rogers(-1.0) + PI2_6 / 2.0),
+    )
+    yield "dilog special values", worst, 1e-13
 
-    def dilog_equations():
-        worst = 0.0
-        for _ in range(1000):
-            x = rng.uniform(1e-9, 1.0)
-            y = rng.uniform(1e-9, 1.0 - 1e-9)
+    worst = 0.0
+    for _ in range(1000):
+        x = rng.uniform(1e-9, 1.0)
+        y = rng.uniform(1e-9, 1.0 - 1e-9)
+        worst = max(
+            worst,
+            abs(rogers(x) + rogers(1.0 - x) - PI2_6),
+            abs(rogers(-x) + rogers(-1.0 / x) + PI2_6),
+            abs(rogers(-y / (1.0 - y)) + rogers(y)),
+            abs(
+                rogers(x) + rogers(y)
+                + rogers((1.0 - x) / (1.0 - x * y))
+                + rogers((1.0 - y) / (1.0 - x * y))
+                - rogers(x * y)
+                - 2.0 * PI2_6
+            ),
+        )
+    yield "dilog functional equations", worst, 1e-11
+
+    worst = 0.0
+    for c in (0.1, 0.5, 1.0, 2.0, 5.0):
+        for a in (0.5, 1.0, 2.0, 5.0, 10.0):
+            ortho = foursphere_ortho(c, a)
             worst = max(
                 worst,
-                abs(rogers(x) + rogers(1.0 - x) - PI2_6),
-                abs(rogers(-x) + rogers(-1.0 / x) + PI2_6),
-                abs(rogers(-y / (1.0 - y)) + rogers(y)),
-                abs(
-                    rogers(x) + rogers(y)
-                    + rogers((1.0 - x) / (1.0 - x * y))
-                    + rogers((1.0 - y) / (1.0 - x * y))
-                    - rogers(x * y)
-                    - 2.0 * PI2_6
-                ),
+                abs(term_foursphere_ortho(c, ortho.m, ortho.p) - term_foursphere_simple(c, a)),
             )
-        return worst, 1e-11
+    yield "four-holed sphere bracket forms", worst, 1e-9
 
-    def foursphere_forms():
-        worst = 0.0
-        for c in (0.1, 0.5, 1.0, 2.0, 5.0):
-            for a in (0.5, 1.0, 2.0, 5.0, 10.0):
-                ortho = foursphere_ortho(c, a)
-                worst = max(
-                    worst,
-                    abs(
-                        term_foursphere_ortho(c, ortho.m, ortho.p)
-                        - term_foursphere_simple(c, a)
-                    ),
-                )
-        return worst, 1e-9
+    worst = 0.0
+    for k in (0.2, 1.0, 2.0, 4.0, 8.0):
+        for b in (0.5, 1.0, 2.0, 5.0, 10.0):
+            four = foursphere_ortho(0.5 * k, 2.0 * b)
+            torus = torus_ortho(k, b)
+            worst = max(worst, abs(four.m - torus.m), abs(four.p - torus.q), abs(four.q - torus.p))
+    yield "covering correspondence", worst, 1e-10
 
-    def covering_correspondence():
-        worst = 0.0
-        for k in (0.2, 1.0, 2.0, 4.0, 8.0):
-            for b in (0.5, 1.0, 2.0, 5.0, 10.0):
-                four = foursphere_ortho(0.5 * k, 2.0 * b)
-                torus = torus_ortho(k, b)
-                worst = max(
-                    worst,
-                    abs(four.m - torus.m),
-                    abs(four.p - torus.q),
-                    abs(four.q - torus.p),
-                )
-        return worst, 1e-10
-
-    def enumeration_oracle():
-        worst = 0.0
-        for _ in range(3):
-            fn = FenchelNielsen(rng.uniform(0.8, 2.5), 0.0, rng.uniform(0.3, 3.0))
-            records = enumerate_geodesics(from_fenchel_nielsen(fn), 16.0)
-            for record in records:
-                if record.slope.q <= 8 and abs(record.slope.p) <= 50:
-                    oracle = brute_force_trace(fn, record.slope)
-                    worst = max(worst, abs(oracle - record.trace) / record.trace)
-        return worst, 1e-9
-
-    return [
-        ("dilog special values", dilog_values),
-        ("dilog functional equations", dilog_equations),
-        ("four-holed sphere bracket forms", foursphere_forms),
-        ("covering correspondence", covering_correspondence),
-        ("enumeration vs word oracle", enumeration_oracle),
-    ]
+    worst = 0.0
+    for _ in range(3):
+        fn = FenchelNielsen(rng.uniform(0.8, 2.5), 0.0, rng.uniform(0.3, 3.0))
+        for record in enumerate_geodesics(from_fenchel_nielsen(fn), 16.0):
+            if record.slope.q <= 8 and abs(record.slope.p) <= 50:
+                oracle = brute_force_trace(fn, record.slope)
+                worst = max(worst, abs(oracle - record.trace) / record.trace)
+    yield "enumeration vs word oracle", worst, 1e-9
 
 
 def _cmd_selftest(args, out):
     failures = 0
-    for label, check in _selftest_checks(args.seed):
-        worst, bound = check()
+    for label, worst, bound in _selftest_checks(args.seed):
         ok = worst <= bound
         failures += 0 if ok else 1
         status = "PASS" if ok else "FAIL"

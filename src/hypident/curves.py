@@ -81,7 +81,7 @@ parents), multiplies the explicit Fenchel-Nielsen matrices, and reports
 
 import gc
 from collections import deque
-from functools import partial
+from functools import cache, partial
 from itertools import chain, count, islice, repeat
 from math import cosh, gcd
 from operator import attrgetter
@@ -469,18 +469,13 @@ def brute_force_trace(fn: FenchelNielsen, slope: Slope) -> float:
     if slope.p < 0:
         gen_b = mat_inv(gen_b)
 
-    cache = {}
-
+    @cache
     def word(p, q):
         if (p, q) == (0, 1):
             return gen_a
         if (p, q) == (1, 0):
             return gen_b
-        got = cache.get((p, q))
-        if got is None:
-            (p1, q1), (p2, q2) = _farey_parents(p, q)
-            got = mat_mul(word(p1, q1), word(p2, q2))
-            cache[(p, q)] = got
-        return got
+        (p1, q1), (p2, q2) = _farey_parents(p, q)
+        return mat_mul(word(p1, q1), word(p2, q2))
 
     return abs(mat_trace(word(abs(slope.p), slope.q)))

@@ -51,24 +51,25 @@ torus boundary k and an interior geodesic b, and
 
     4 pi^2 - sum_b 8 [2 La(e^{-b}, tanh^2(m/2)) + L(sech^2(p/2))].
 
-`evaluate` and `iter_terms` share one path: walk the spectrum, hand
-`_terms` sorted trace columns and their length columns, and round the
-exact sum of the terms it yields once, so the result depends on neither
+`evaluate`, `iter_terms` and `identity_term` share one path: check the
+kind and the point with `check_point_kind`, the only reader of the kind
+table, and hand `_terms` sorted trace columns.  `_terms` forms each
+column's lengths itself, lazily, with `torus.lengths_from_traces`, which
+checks the whole column first, and is the one cut at length 700: it
+bisects the sorted traces there, and the kind's table kernel maps the
+columns below it to an iterator of terms, in order, with no limit test of
+its own.  Most kernels `map` their scalar bracket, with no Python frame of
+their own per term; `mcshane` is a chain of `map`s over `exp`, `add` and
+`truediv`, with no Python frame per term.  `evaluate` and `iter_terms`
+round the exact sum of the terms once, so the result depends on neither
 the order of the terms nor the cuts between columns, and both give the
-same sum bit for bit.  `_terms` is the one cut at length 700: it bisects
-the sorted traces there, and the kind's table kernel maps the columns
-below it to an iterator of terms, in order, with no limit test of its own.
-Most kernels `map` their scalar bracket, with no Python frame of their own
-per term; `mcshane` is a chain of `map`s over `exp`, `add` and `truediv`,
-with no Python frame per term.  `evaluate`
-takes the walk's chunks of at most 4,096 traces from `curves.trace_chunks`
-as they come, sorts each in place and maps it with the lengths of
-`torus.lengths_from_traces`, formed lazily as the kernel reads them; one
-`math.fsum` runs over the terms of the chunks in turn, so `evaluate` holds
-one chunk of untracked floats at a time, never the spectrum.  `iter_terms`
-reads the columns off the records and yields each record with its term and
-the running sum (the CLI's `terms`), kept exactly as an int in units of
-2^-1074 and rounded at each yield.
+same sum bit for bit.  `evaluate` takes the walk's chunks of at most 4,096
+traces from `curves.trace_chunks` as they come and sorts each in place;
+one `math.fsum` runs over the terms of the chunks in turn, so `evaluate`
+holds one chunk of untracked floats at a time, never the spectrum.
+`iter_terms` hands `_terms` the records' traces and yields each record
+with its term and the running sum (the CLI's `terms`), kept exactly as an
+int in units of 2^-1074 and rounded at each yield.
 """
 
 import enum
@@ -76,7 +77,7 @@ import math
 from bisect import bisect_left
 from itertools import chain, islice, repeat
 from math import cosh, exp, expm1, pi, sqrt, tanh
-from operator import add, attrgetter, mul, truediv
+from operator import add, mul, truediv
 from typing import NamedTuple
 
 from .curves import GeodesicRecord, enumerate_geodesics, trace_chunks
@@ -361,24 +362,22 @@ _IDENTITIES = {
 }
 
 
-def _terms(kernel, k, traces, lengths):
-    # the kernel's terms of the sorted columns below length 700, where the
-    # traces reach it, and from there on the limit 0.0
+def _terms(kernel, k, traces):
+    # the kernel's terms of the sorted trace column below length 700, where the
+    # traces reach it, and from there on the limit 0.0; the length column is
+    # formed lazily, after one check of the whole trace column
+    lengths = lengths_from_traces(traces)
     short = bisect_left(traces, _LIMIT_LENGTH, key=length_from_trace)
     terms = kernel(k, traces[:short], islice(lengths, short))
     return chain(terms, repeat(0.0, len(traces) - short))
 
 
-def _row(kind):
-    try:
-        return _IDENTITIES[kind]
-    except (KeyError, TypeError):  # TypeError: an unhashable kind
-        raise DomainError(f"unknown identity kind {kind!r}") from None
-
-
 def check_point_kind(kind: IdentityKind, k: float):
     """The row of `kind`; refuses an unknown kind or a mismatched k (cusped kinds need 0)."""
-    row = _row(kind)
+    try:
+        row = _IDENTITIES[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise DomainError(f"unknown identity kind {kind!r}") from None
     if row[1]:
         if k != 0.0:
             raise DomainError(f"identity {kind.value} needs a cusped point, got k={k!r}")
@@ -390,9 +389,11 @@ def check_point_kind(kind: IdentityKind, k: float):
 def identity_term(kind: IdentityKind, k: float, record: GeodesicRecord) -> float:
     """Contribution of one geodesic record to the identity `kind`.
 
-    `_terms` runs the kind's kernel on the columns (trace,) and (length,).
+    The kind and k are checked as `evaluate` checks them, and the record is
+    read by its trace alone, as `evaluate` reads the walk: `_terms` runs the
+    kind's kernel on the column (trace,).
     """
-    return next(_terms(_row(kind)[0], k, (record.trace,), (record.length,)))
+    return next(_terms(check_point_kind(kind, k)[0], k, (record.trace,)))
 
 
 def tail_estimate(k: float, cutoff: float) -> float:
@@ -422,7 +423,7 @@ def iter_terms(kind: IdentityKind, triple: TraceTriple, cutoff: float):
     k = triple.k
     kernel = check_point_kind(kind, k)[0]
     records = enumerate_geodesics(triple, cutoff)
-    terms = _terms(kernel, k, [r.trace for r in records], map(attrgetter("length"), records))
+    terms = _terms(kernel, k, [r.trace for r in records])
     # the running sum, exactly, in units of 1/scale = 2^-1074, the least subnormal
     exact, scale = 0, 2**1074  # bound once: the compiler does not fold 2**1074
     for record, term in zip(records, terms):
@@ -441,9 +442,9 @@ def evaluate(
     """Sum the `kind` terms over the spectrum of `triple` into a report.
 
     The chunks of `trace_chunks` are summed as the walk yields them.  Each
-    is sorted in place, so `_terms` cuts it at length 700 by bisection, with
-    its lazy length column, `lengths_from_traces`, which checks the chunk
-    once, up front.
+    is sorted in place, so `_terms` cuts it at length 700 by bisection; its
+    lazy length column, `lengths_from_traces`, checks the chunk once, up
+    front.
     One `math.fsum` runs over the terms of every chunk and rounds their
     exact sum once, so neither the cuts nor the order moves a bit: the
     count and sum are those of `iter_terms`.  No record, no length list and
@@ -476,7 +477,7 @@ def evaluate(
         for chunk in trace_chunks(triple, cutoff, max_records=max_records):
             chunk.sort()
             count += len(chunk)
-            yield _terms(kernel, k, chunk, lengths_from_traces(chunk))
+            yield _terms(kernel, k, chunk)
 
     partial = math.fsum(chain.from_iterable(chunk_terms()))
     parameters = triple._asdict()

@@ -221,6 +221,20 @@ def test_selftest_seed_changes_samples_not_outcome():
     assert all(line.startswith("PASS") for line in out.splitlines())
 
 
+def test_selftest_reports_a_failing_check(monkeypatch):
+    # a wrong dilogarithm fails the two dilogarithm checks; the others still run and pass
+    import hypident.cli as cli
+
+    rogers = cli.rogers
+    monkeypatch.setattr(cli, "rogers", lambda x: rogers(x) + 1e-6)
+    code, out, _ = invoke(["selftest", "--seed", "3"])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL dilog special values: worst 1.000e-06")
+    assert lines[1].startswith("FAIL dilog functional equations")
+    assert len(lines) == 5 and all(line.startswith("PASS") for line in lines[2:])
+
+
 def test_usage_errors_exit_two():
     for argv in (
         ["verify", "--identity", "thm12", "--traces", "3,3", "--cutoff", "5"],

@@ -44,6 +44,7 @@ COMMANDS = [
     ("sweep", "--identity", "thm11", "--vary", "k=0.5:1.5:0.25", "--fn", "1.2,0.3,_",
      "--cutoff", "8"),
     ("selftest", "--seed", "0"),
+    ("selftest", "--seed", "3"),
     ("verify", "--identity", "thm12", "--traces", "3,3", "--cutoff", "5"),
     ("sweep", "--identity", "thm11", "--vary", "q=1:2:1", "--fn", "1,_,1", "--cutoff", "5"),
     # long cutoffs, where terms are e^{-35}-small: every digit of the kernels shows
@@ -166,6 +167,11 @@ GOLDEN = {
     "selftest --seed 0": (
         0,
         "d877ce58a091c9d3d721d00ff64a3ad68ef1a8e17c140a8893ad1fc6f5d8a11b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "selftest --seed 3": (
+        0,
+        "b6188d794d765b6f3811193974bdd79855981728ff64a3bf5446e23b4f7d4fc4",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "verify --identity thm12 --traces 3,3 --cutoff 5": (

@@ -205,8 +205,10 @@ def test_ortho_brackets_match_one_holed_on_log_uniform_points():
 
 
 def test_identity_term_dispatches_to_each_kernel():
-    k, b = 1.5, 2.0
-    record = GeodesicRecord(None, 2.0 * cosh(0.5 * b), b)
+    # the record is read by its trace, so its length is the trace's, bit for bit
+    k, trace = 1.5, 2.0 * cosh(1.0)
+    record = GeodesicRecord(None, trace, length_from_trace(trace))
+    b = record.length
     ortho, four = torus_ortho(k, b), foursphere_ortho(0.5 * k, 2.0 * b)
     direct = {
         IdentityKind.THM11: term_one_holed(k, b),
@@ -220,7 +222,8 @@ def test_identity_term_dispatches_to_each_kernel():
     }
     assert set(direct) == set(IdentityKind)
     for kind, term in direct.items():
-        assert identity_term(kind, k, record) == term, kind
+        point_k = 0.0 if kind in CUSPED_KINDS else k
+        assert identity_term(kind, point_k, record) == term, kind
 
 
 def test_every_kind_takes_the_limit_past_length_700():
@@ -280,7 +283,7 @@ def test_column_terms_are_the_scalar_forms_term_by_term():
     assert set(scalar) == set(IdentityKind)
     for kind, form in scalar.items():
         kernel = identities._IDENTITIES[kind][0]
-        terms = identities._terms(kernel, k, traces, lengths_from_traces(traces))
+        terms = identities._terms(kernel, k, traces)
         assert [term.hex() for term in terms] == [
             form(t, b).hex() for t, b in zip(traces, lengths)
         ], kind
@@ -362,6 +365,35 @@ def test_identity_term_refuses_unknown_kind():
     for kind in ("thm11", None, ["thm11"]):
         with pytest.raises(DomainError, match="unknown identity kind"):
             identity_term(kind, 1.5, record)
+
+
+def test_identity_term_checks_k_as_evaluate_does():
+    # a cusped kind needs k = 0 and a boundary kind k > 0, with `evaluate`'s messages
+    record = GeodesicRecord(None, 2.0 * cosh(1.0), 2.0)
+    refusals = {
+        (IdentityKind.THM12, HOLED): "identity thm12 needs a cusped point, got k=1.5",
+        (IdentityKind.THM11, MODULAR): "identity thm11 needs boundary length k > 0, got k=0.0",
+    }
+    for (kind, point), message in refusals.items():
+        for call in (lambda: evaluate(kind, point, 10.0),
+                     lambda: identity_term(kind, point.k, record)):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                call()
+    for kind in IdentityKind:
+        if kind not in CUSPED_KINDS:
+            with pytest.raises(DomainError, match="needs boundary length k > 0, got k=-1.0"):
+                identity_term(kind, -1.0, record)
+
+
+def test_identity_term_reads_a_record_by_its_trace():
+    # a record whose length disagrees with its trace gives the term of its
+    # trace, as `evaluate` reads the walk, and no untyped error
+    consistent = GeodesicRecord(None, 3.0, length_from_trace(3.0))
+    for kind, k in ((IdentityKind.MCSHANE, 0.0), (IdentityKind.FOUR, 1.5),
+                    (IdentityKind.THM15, 0.0)):
+        term = identity_term(kind, k, GeodesicRecord(None, 3.0, 1419.0))
+        assert term.hex() == identity_term(kind, k, consistent).hex(), kind
+        assert term > 0.0, kind
 
 
 def test_ortho_bracket_spends_three_dilogarithms(monkeypatch):
@@ -787,10 +819,10 @@ def test_mcshane_sum_crosses_length_700_chunk_by_chunk(monkeypatch):
     expected = Counter(term_mcshane(b).hex() for b in lengths)
     cut = identities._terms
 
-    def spy(kernel, k, traces, column):
+    def spy(kernel, k, traces):
         nonlocal crossing
         crossing += length_from_trace(traces[0]) < 700.0 <= length_from_trace(traces[-1])
-        terms.extend(cut(kernel, k, traces, column))
+        terms.extend(cut(kernel, k, traces))
         return iter(terms[len(terms) - len(traces):])
 
     monkeypatch.setattr(identities, "_terms", spy)
