@@ -47,7 +47,7 @@ The walk is a generator.  It yields the traces, one float per record, in
 emission order and in *chunks*: new lists of at most 4,096 traces, so a
 reader that sums as it goes holds one chunk, not the spectrum.  A chunk
 is cut wherever the count reaches a multiple of the chunk size, inside a
-twist run too, and the run resumes after the cut with the same floats.
+twist run or its tight loop too, and the walk goes on with the same floats.
 The slopes go as *stretches* into a list that the caller passes in.  A
 stretch (p, q, bp, bq, n) stands for the n slopes (p, q) + i (bp, bq),
 i < n, whose traces are the next n traces; each root is a stretch of
@@ -257,14 +257,14 @@ def _walk(triple, length_cutoff, max_records, stretches):
     NaN makes every later trace NaN, each emitted): once a step does not
     fall (t+ >= t), no later step falls, since t++ = fl(fl(tb t+) - t) >=
     fl(2 t+ - t) >= t+.  The run is a valley, and its steps within the
-    cutoff are consecutive; `_assert_distinct` would count a gap as a slope
-    more than the traces.
+    cutoff are consecutive, so a stretch from the first, as long as the
+    count of the run's emissions, holds their slopes.
 
     Before each emission the walk tests the chunk against `bound`, the
-    lesser of the chunk size and the room left under the record cap: a
-    chunk at the cap refuses the emission, and a full one is yielded and
-    replaced.  So the cap raises at the first emission past it, whatever
-    the chunk size, and a cut changes no float of the walk.
+    lesser of the chunk size and the room left under the record cap; one
+    body, `cut`, then refuses the emission at the cap or yields and
+    replaces the full chunk.  So the cap raises at the first emission past
+    it, whatever the chunk size, and a cut changes no float of the walk.
 
     The rising-run loop.  Take a step of a twist run, with traces ta, t and
     the kept tb, whose child that keeps a, c' = fl(fl(ta t) - tb), is pruned
@@ -285,11 +285,9 @@ def _walk(triple, length_cutoff, max_records, stretches):
     and refuses none (each is > 2).  From such a step the walk forms
     c = t tb - ta, emits it and shifts, the same floats in the same order,
     and counts the room left in the chunk instead of its length.  When the
-    room is spent, c is due: the loop hands the step (t, c) back to the
-    twist run, whose test before the emission refuses it at the cap or cuts
-    the chunk, and whose next step, which meets the conditions above,
-    enters the loop again with the same (ta, t, c).  A NaN fails the entry
-    test; with ta = t = inf both loops emit NaN to the cap.  In exact
+    room is spent while c is due, the loop cuts the chunk itself, or the
+    cap refuses c.  A NaN fails the entry test; with ta = t = inf it passes,
+    c = inf tb - inf is NaN, and the loop emits NaN to the cap.  In exact
     arithmetic c' >= t alone gives t (t - 1) >= tb, and the test tb <= t is
     not needed; it keeps the float argument free of a margin, and a reduced
     walk, where in exact arithmetic each mediant's trace is the largest of
@@ -311,15 +309,20 @@ def _walk(triple, length_cutoff, max_records, stretches):
     # the chunk takes `bound` more traces: then it is full, or at the record cap
     chunk, done, bound = [], 0, min(_CHUNK, max_records)
     emit = chunk.append
+
+    def cut():  # refuse the next trace at the cap, or yield the full chunk and start another
+        nonlocal chunk, done, bound, emit
+        if done + len(chunk) >= max_records:
+            raise _record_limit(max_records, length_cutoff)
+        done += len(chunk)
+        yield chunk
+        chunk = []
+        emit, bound = chunk.append, min(_CHUNK, max_records - done)
+
     for p, q, t in ((0, 1, x0), (1, 0, y0)):
         if not t > trace_cutoff:
-            if len(chunk) >= bound:  # as in the twist run below
-                if done + len(chunk) >= max_records:
-                    raise _record_limit(max_records, length_cutoff)
-                done += len(chunk)
-                yield chunk
-                chunk = []
-                emit, bound = chunk.append, min(_CHUNK, max_records - done)
+            if len(chunk) >= bound:
+                yield from cut()
             stretches.append((p, q, 0, 0, 1))
             emit(t)
     # (ap, aq, bp, bq, ta, tb, t): the triangle that keeps a and b and adds a + b
@@ -327,23 +330,17 @@ def _walk(triple, length_cutoff, max_records, stretches):
     while queue:
         ap, aq, bp, bq, ta, tb, t = queue.popleft()
         # the twist run that keeps b: step n adds a + n b, trace t, to the kept
-        # u = a + (n - 1) b, trace ta; the open stretch is the steps start <= i < end
-        n = 1
-        start = end = 0
+        # u = a + (n - 1) b, trace ta; the open stretch, from step `start`, holds
+        # the done + len(chunk) - mark traces emitted since the pop (a cut keeps the sum)
+        n, start, mark = 1, 0, done + len(chunk)
         while True:
             # `not t > cutoff` keeps a NaN trace (see the module docstring)
             if not t > trace_cutoff:
-                if len(chunk) >= bound:  # refuse t at the cap, or cut the full chunk
-                    if done + len(chunk) >= max_records:
-                        raise _record_limit(max_records, length_cutoff)
-                    done += len(chunk)
-                    yield chunk
-                    chunk = []
-                    emit, bound = chunk.append, min(_CHUNK, max_records - done)
+                if len(chunk) >= bound:
+                    yield from cut()
                 emit(t)
                 if not start:  # the first emission of the run
                     start = n
-                end = n + 1
             # a NaN compares false in both prune tests, so its subtree is kept, not lost
             c = ta * t - tb
             if not (c > trace_cutoff and c >= ta and c >= t):
@@ -355,19 +352,15 @@ def _walk(triple, length_cutoff, max_records, stretches):
                 # the run rises from here: every later child that keeps a is
                 # pruned, and every later trace up to the break is emitted
                 c = t * tb - ta
-                if not c > trace_cutoff:
-                    before = len(chunk)
-                    for _ in repeat(None, bound - before):
+                while not c > trace_cutoff:
+                    if len(chunk) >= bound:
+                        yield from cut()
+                    for _ in repeat(None, bound - len(chunk)):
                         emit(c)
                         ta, t = t, c
                         c = t * tb - ta
                         if c > trace_cutoff:
                             break
-                    else:  # the room is spent and c is due: its step emits it
-                        end += len(chunk) - before
-                        n, ta, t = end, t, c
-                        continue
-                    end += len(chunk) - before
                 break
             c = t * tb - ta
             if c > trace_cutoff and c >= t and c >= tb:
@@ -377,7 +370,7 @@ def _walk(triple, length_cutoff, max_records, stretches):
                 raise _non_hyperbolic_child(ap + n * bp, aq + n * bq, c)
             ta, t = t, c
         if start:
-            stretches.append((ap + start * bp, aq + start * bq, bp, bq, end - start))
+            stretches.append((ap + start * bp, aq + start * bq, bp, bq, done + len(chunk) - mark))
 
     done += len(chunk)
     if chunk:

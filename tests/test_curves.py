@@ -4,7 +4,7 @@ from collections import Counter, deque
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from math import acosh, cosh, exp, gcd, inf, log, nan, sinh, sqrt
+from math import acosh, cosh, exp, gcd, inf, isnan, log, nan, sinh, sqrt
 
 import pytest
 
@@ -521,6 +521,33 @@ def test_enumerate_keeps_nan_children(request, monkeypatch):
     monkeypatch.setattr(curves, "DEFAULT_MAX_RECORDS", 1_000)
     with pytest.raises(ResourceLimitError):
         enumerate_geodesics(root, 4.0)
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+def test_a_nan_run_in_the_rising_loop_runs_to_the_cap(size, unreduced, monkeypatch):
+    # walked unreduced from (inf, 3, inf), the root 1/0 emits 3.0; the first
+    # queue entry has ta = t = inf and tb = 3, so its child that keeps a is
+    # pruned, and it enters the rising-run loop with c = inf * 3 - inf = NaN.
+    # The loop emits NaN in full chunks, cut where they fill, up to the cap,
+    # which refuses the next one; `evaluate` refuses the first chunk that
+    # holds a NaN, or the cap if no chunk comes before it
+    monkeypatch.setattr(curves, "_CHUNK", size)
+    root = TraceTriple(inf, 3.0, inf, nan, 0.0)
+    yielded = []
+    message = "^enumeration exceeded 1000 records below cutoff 4.0$"
+    with pytest.raises(ResourceLimitError, match=message):
+        for chunk in curves._walk(root, 4.0, 1_000, []):
+            assert len(chunk) == size
+            yielded += chunk
+    if size < 1_000:
+        assert 1_000 - size <= len(yielded) < 1_000
+        assert yielded[0] == 3.0 and all(map(isnan, yielded[1:]))
+        refused = NonHyperbolicError, "got nan"
+    else:
+        assert yielded == []
+        refused = ResourceLimitError, message
+    with pytest.raises(refused[0], match=refused[1]):
+        evaluate(IdentityKind.MCSHANE, root, 4.0, max_records=1_000)
 
 
 def test_record_pass_refuses_a_bad_trace(unreduced):
