@@ -186,7 +186,7 @@ GOLDEN = {
     ),
     "verify --identity thm11 --fn 1.2,0.4,1.5 --cutoff 35": (
         0,
-        "336ec632d36abfd66255f9bcd234649e322fe4dfe9d37f821be34228bc4c4ce3",
+        "d38dbccaab9fca4795510bc6c525d332b1680551eb145debbe704f56178148a7",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "terms --identity thm31 --fn 1.2,0.4,1.5 --cutoff 35 --format csv": (

@@ -65,6 +65,65 @@ CUSPED_AT_MODULAR_SYSTOLE = 1.1506828915753256
 def test_one_holed_long_geodesic_limit():
     assert term_one_holed(1.0, 800.0) == 0.0
     assert abs(term_one_holed(1.0, 80.0)) < 1e-30
+    # the 60-digit value, which the three-dilogarithm form, cancelling, rounds to 0.0
+    assert abs(term_one_holed(1.0, 80.0) - 3.144137416490715e-33) <= 4e-15 * 3.144137416490715e-33
+
+
+def _one_holed_bracket_mp(k, b):
+    # L(A) + 2 L(B) - 2 L(C) at the float (k, b), x = e^{-k/2}, s = e^{-b}:
+    # B - C = s cancels, so carry b / ln 10 more digits than the 50 kept
+    with mpmath.workdps(50 + int(b / 2.3)):
+        k, b = mpmath.mpf(k), mpmath.mpf(b)
+        x, s = mpmath.exp(-k / 2), mpmath.exp(-b)
+        first = (mpmath.cosh(k / 2) + 1) / (mpmath.cosh(k / 2) + mpmath.cosh(b))
+        pair = rogers_mp((1 + x * s) / (1 + x)) - rogers_mp((1 - s) / (1 + x))
+        return rogers_mp(first) + 2 * pair
+
+
+def test_one_holed_past_the_switch_is_accurate_relative_to_its_size():
+    # from b = 17 + k/2 on, the pair is 2 e^{-b} L'(m): both the holed and the
+    # four-holed-sphere simple bracket are within 4e-15 of mpmath, up to b = 699.9
+    rng = random.Random(29)
+    for i in range(150):
+        k = exp(rng.uniform(log(1e-9), log(30.0)))
+        switch = 17.0 + 0.5 * k
+        if i < 10:
+            b = (switch, 699.9)[i % 2]
+        else:  # dense near the switch, and out to 699.9
+            b = min(switch + exp(rng.uniform(log(1e-6), log(699.9 - switch))), 699.9)
+        exact = _one_holed_bracket_mp(k, b)
+        for got in (term_one_holed(k, b), term_foursphere_simple(0.5 * k, 2.0 * b)):
+            assert abs(got - exact) <= 4e-15 * exact, (k, b)
+
+
+def test_one_holed_below_the_switch_is_the_three_dilogarithm_bracket():
+    # below b = 17 + k/2 the bracket is rogers(A) + 2 rogers(B) - 2 rogers(C), bit for bit
+    rng = random.Random(31)
+    for _ in range(300):
+        k = exp(rng.uniform(log(1e-9), log(30.0)))
+        below = nextafter(17.0 + 0.5 * k, 0.0)
+        drawn = (rng.uniform(0.01, below), exp(rng.uniform(log(1e-6), log(below))))
+        for b in (below, *(min(d, below) for d in drawn)):
+            m = max(0.5 * k, b)
+            up, down = exp(0.5 * k - m), exp(-0.5 * k - m)
+            first = min((up + 2.0 * exp(-m) + down) / (up + down + exp(b - m) + exp(-b - m)), 1.0)
+            scale = 1.0 + exp(-0.5 * k)
+            second, third = (1.0 + exp(-0.5 * k - b)) / scale, -expm1(-b) / scale
+            bracket = rogers(first) + 2.0 * rogers(second) - 2.0 * rogers(third)
+            assert term_one_holed(k, b) == bracket, (k, b)
+
+
+def test_one_holed_tends_to_the_cusped_term_past_the_switch():
+    # ROADMAP item 14 (iii) for the simple bracket: as k -> 0 it tends to the
+    # cusped one.  In mpmath the relative gap is 0.056 k^2 at b = 17 and 0.062 k^2
+    # at b = 600, under 1e-7 k for k <= 1e-6; 2e-15 covers the two forms' rounding
+    rng = random.Random(37)
+    for i in range(2000):
+        k = exp(rng.uniform(log(1e-12), log(1e-6)))
+        switch = 17.0 + 0.5 * k
+        b = rng.uniform(switch, 699.9) if i % 2 else min(switch + rng.expovariate(0.2), 699.9)
+        cusped = term_cusped(b)
+        assert abs(term_one_holed(k, b) - cusped) <= (2e-15 + 1e-7 * k) * cusped, (k, b)
 
 
 def test_one_holed_short_geodesic_limit():
