@@ -4,36 +4,38 @@ Each identity states that a sum of dilogarithm brackets over the simple
 length spectrum of a small hyperbolic surface equals pi^2/2 (or 1/2 for the
 classical horocycle identity).  The term functions:
 
-    one-holed torus, boundary k, geodesic b:
+    simple bracket of the torus with one geodesic boundary k or, at k = 0,
+    a cusp; geodesic b, x = e^{-k/2}, s = e^{-b}:
         L((cosh(k/2)+1)/(cosh(k/2)+cosh b))
         + 2 L(cosh(k/4 + b/2) / (cosh(k/4) e^{b/2}))
         - 2 L(2 sinh(b/2) / ((1 + e^{-k/2}) e^{b/2}))
-
-    cusped torus, geodesic b:
+      = L(s(1+x)^2 / ((x+s)(1+xs))) + 2 L((1+xs)/(1+x)) - 2 L((1-s)/(1+x)),
+    since cosh(k/2) + cosh b = (x+s)(1+xs)/(2xs); every argument is formed
+    from x and s, once.  At k = 0 (x = 1) this is the cusped torus's
         L(sech^2(b/2)) + 2 L((1+e^{-b})/2) - 2 L((1-e^{-b})/2)
 
     trace-squared form, s = tr^2 > 4 (equivalent to the cusped form):
         L(4/s) + 2 L(s/(s+sqrt(s^2-4s))) - 2 L(sqrt(s^2-4s)/(s+sqrt(s^2-4s)))
 
-    The last two dilogarithms of these two forms cancel near 1/2: for
-    e^{-b} <= e^{-1} (b >= 1) they are summed as 2 D(e^{-b}), the odd series
-    `dilog.rogers_odd_series`, which is accurate relative to its size, and
-    the bracket takes one `rogers` call instead of three.  The trace form
-    reads e^{-b} as 4/(tr^2 (1+u)^2), u = sqrt(1 - 4/tr^2) = tanh(b/2),
-    which equals (1-u)/(1+u) but forms no 1 - u.
+    The simple bracket's last two arguments are m + s/2 and m - s/2, with
+    1 - m = (2x + s(1-x)) / (2(1+x)), and they cancel like s.  Where x
+    rounds to 1 (the cusp, or k below ~1e-16) m is 1/2, and for s <= e^{-1}
+    (b >= 1) the pair is summed as 2 D(s), the odd series
+    `dilog.rogers_odd_series`, which is accurate relative to its size: the
+    bracket takes one `rogers` call instead of three, past b = 17 too.  The
+    trace form does the same, reading e^{-b} as 4/(tr^2 (1+u)^2),
+    u = sqrt(1 - 4/tr^2) = tanh(b/2), which equals (1-u)/(1+u) but forms
+    no 1 - u.
 
-    The holed bracket's last two arguments are m + s/2 and m - s/2, with
-    s = e^{-b}, x = e^{-k/2} and 1 - m = (2x + s(1-x)) / (2(1+x)), and they
-    cancel like s too.  From b = 17 + k/2 on, the pair is its first-order
-    form 2 s L'(m), L'(z) = -(log(1-z)/z + log(z)/(1-z))/2 (Zagier 2007),
-    read in 1 - m, and the first argument is s(1+x)^2 / (x + s(1 + x^2 + xs)):
-    one `rogers` call, two logs and two exps, with no cancellation.  The
-    dropped term s^3 L'''(m)/12 is at most 1.2e-17 of the bracket at the
-    switch (k from 1e-3 to 30, against mpmath at 50 digits; 9.1e-17 at
-    b = 16 + k/2), and falls like e^{-2b} past it.  So the bracket is within
-    4e-15 of mpmath from the switch to b = 700, where the three-call form
-    errs by 7.7e-5 at b = 30 and by 100% at b = 60; below the switch, the
-    bracket is the three-call form.
+    Otherwise, from b = 17 + k/2 on, the pair is its first-order form
+    2 s L'(m), L'(z) = -(log(1-z)/z + log(z)/(1-z))/2 (Zagier 2007), read
+    in 1 - m: one `rogers` call, two logs and two exps, with no
+    cancellation.  The dropped term s^3 L'''(m)/12 is at most 1.2e-17 of
+    the bracket at the switch (k from 1e-3 to 30, against mpmath at 50
+    digits; 9.1e-17 at b = 16 + k/2), and falls like e^{-2b} past it.  So
+    the bracket is within 4e-15 of mpmath from the switch to b = 700, where
+    the three-call form errs by 7.7e-5 at b = 30 and by 100% at b = 60;
+    below the switch, the bracket is the three-call form.
 
     orthogeodesic form of the one-holed torus (seams m, q of the cut pants),
     x = e^{-k/2}, y = tanh^2(m/2); the lasso's own L(y) cancels the 2 L(y):
@@ -170,45 +172,36 @@ def _check_positive(name, value):
 
 
 def term_one_holed(k: float, b: float) -> float:
-    """Bracket for a geodesic of length b on the torus with boundary k.
+    """Bracket for a geodesic of length b on the torus with boundary k >= 0.
 
-    From b = 17 + k/2 on, the pair 2 L(m + s/2) - 2 L(m - s/2), s = e^{-b},
-    is 2 s L'(m); its first dropped term, s^3 L'''(m)/12, is at most 1.2e-17
-    of the bracket (the module docstring gives the form).
+    k = 0 is the cusped torus.  Where e^{-k/2} rounds to 1 and b >= 1 the
+    pair is the odd series; from b = 17 + k/2 on, the pair
+    2 L(m + s/2) - 2 L(m - s/2), s = e^{-b}, is 2 s L'(m), whose first
+    dropped term, s^3 L'''(m)/12, is at most 1.2e-17 of the bracket (the
+    module docstring gives the forms).
     """
-    _check_positive("k", k)
+    if not 0.0 <= k < math.inf:  # also NaN
+        raise DomainError(f"k must be a finite length >= 0, got {k!r}")
     _check_positive("b", b)
     if b >= _LIMIT_LENGTH:
         return 0.0
-    x = exp(-0.5 * k)
+    # s is normal since b < 700; first = (cosh(k/2)+1)/(cosh(k/2)+cosh b),
+    # whose denominator is (x + s)(1 + xs)/(2xs)
+    x, s = exp(-0.5 * k), exp(-b)
+    first = s * (1.0 + x) ** 2 / ((x + s) * (1.0 + x * s))
+    if x == 1.0 and s <= ODD_SERIES_MAX:  # the pair at m = 1/2
+        return rogers(first) + 2.0 * rogers_odd_series(s)
     if b >= 17.0 + 0.5 * k:
-        # every argument from x and s, both normal since b < 700;
         # 2 s L'(m) = -s (log(om)/(1 - om) + log1p(-om)/om), om = 1 - m
-        s = exp(-b)
         om = (2.0 * x + s * (1.0 - x)) / (2.0 * (1.0 + x))
-        first = s * (1.0 + x) ** 2 / (x + s * (1.0 + x * x + x * s))
         return rogers(first) - s * (log(om) / (1.0 - om) + log1p(-om) / om)
-    # (cosh(k/2)+1)/(cosh(k/2)+cosh b), scaled by e^{-m} against overflow
-    m = max(0.5 * k, b)
-    up, down = exp(0.5 * k - m), exp(-0.5 * k - m)
-    # rounds above 1 at some b < 1e-6, where the ratio rounds to 1
-    first = min((up + 2.0 * exp(-m) + down) / (up + down + exp(b - m) + exp(-b - m)), 1.0)
-    # cosh(k/4 + b/2)/(cosh(k/4) e^{b/2}) = (1 + e^{-k/2 - b})/(1 + e^{-k/2})
-    scale = 1.0 + x
-    return _bracket(first, (1.0 + exp(-0.5 * k - b)) / scale, -expm1(-b) / scale)
+    # first rounds above 1 at some b < 1e-6, where the ratio rounds to 1
+    return _bracket(min(first, 1.0), (1.0 + x * s) / (1.0 + x), -expm1(-b) / (1.0 + x))
 
 
 def term_cusped(b: float) -> float:
-    """Bracket for a geodesic of length b on the cusped torus."""
-    _check_positive("b", b)
-    if b >= _LIMIT_LENGTH:
-        return 0.0
-    s = exp(-b)
-    if s > ODD_SERIES_MAX:
-        # rounds above 1 at some b < 1.5e-8, where sech(b/2) rounds to 1
-        sech_half = min(2.0 * exp(-0.5 * b) / (1.0 + s), 1.0)
-        return _bracket(sech_half * sech_half, 0.5 * (1.0 + s), 0.5 * -expm1(-b))
-    return rogers(4.0 * s / ((1.0 + s) * (1.0 + s))) + 2.0 * rogers_odd_series(s)
+    """Bracket for a geodesic of length b on the cusped torus: the holed one at k = 0."""
+    return term_one_holed(0.0, b)
 
 
 def term_trace_squared(trace_squared: float) -> float:
@@ -355,14 +348,18 @@ def torus_contribution_partial(k: float, records) -> float:
     return 4.0 * pi * pi - math.fsum(term(record.length) for record in records)
 
 
+def _simple(k, t, b):  # the simple torus bracket, cusped at k = 0
+    return map(term_one_holed, repeat(k), b)
+
+
 # kind -> (kernel, cusped, target, reports_c).  kernel(k, traces, lengths) maps
 # the sorted trace column and its length column, below length 700, to the terms,
 # in order, every name inside it read at call time; a cusped kind needs k = 0, the
 # others a boundary k > 0; target is the value of the full sum; reports_c adds
 # the four-holed-sphere boundary c = k/2 to the parameters
 _IDENTITIES = {
-    IdentityKind.THM11: (lambda k, t, b: map(term_one_holed, repeat(k), b), False, PI2_2, False),
-    IdentityKind.THM12: (lambda k, t, b: map(term_cusped, b), True, PI2_2, False),
+    IdentityKind.THM11: (_simple, False, PI2_2, False),
+    IdentityKind.THM12: (_simple, True, PI2_2, False),
     IdentityKind.THM15: (
         lambda k, t, b: map(term_trace_squared, map(mul, t, t)), True, PI2_2, False
     ),
@@ -377,10 +374,8 @@ _IDENTITIES = {
         ),
         False, PI2_2, True,
     ),
-    IdentityKind.FOUR_SIMPLE: (
-        lambda k, t, b: map(term_one_holed, repeat(k), b), False, PI2_2, True
-    ),
-    IdentityKind.FOUR_CUSPED: (lambda k, t, b: map(term_cusped, b), True, PI2_2, True),
+    IdentityKind.FOUR_SIMPLE: (_simple, False, PI2_2, True),
+    IdentityKind.FOUR_CUSPED: (_simple, True, PI2_2, True),
     IdentityKind.MCSHANE: (  # `term_mcshane` below length 700
         lambda k, t, b: map(truediv, repeat(1.0), map(add, repeat(1.0), map(exp, b))),
         True, 0.5, False,

@@ -55,6 +55,9 @@ COMMANDS = [
     ("spectrum", "--fn", "8,0,0", "--cutoff", "20", "--format", "csv"),
     ("verify", "--identity", "mcshane", "--fn", "8,0,0", "--cutoff", "20"),
     ("terms", "--identity", "thm15", "--fn", "8,0,0", "--cutoff", "20", "--format", "csv"),
+    # a cusped point with records shorter than 1, where the simple bracket at k = 0
+    # takes three dilogarithms and not the odd series
+    ("terms", "--identity", "thm12", "--fn", "0.5,0,0", "--cutoff", "6", "--format", "csv"),
 ]
 
 
@@ -71,12 +74,12 @@ def _outcome(argv):
 GOLDEN = {
     "verify --identity thm11 --fn 1.2,0.4,1.5 --cutoff 8 --format json": (
         1,
-        "e3e7a73d8463749dda228385612d331c13444ebdf1532c34cfe760e5a4f956d2",
+        "8d79fb1f014e953a601cec901b7a223247760dd17901a1f4dd6ba7329e92e182",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "terms --identity thm11 --fn 1.2,0.4,1.5 --cutoff 8 --format csv": (
         0,
-        "a88af75c16533a7ab5fa773a597803c9e80d0acc8398e30a5052f9b03565e4c1",
+        "ce98fe9d768a44972272e337d4eed14a93244e891af7772fb915fce6594f970f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "verify --identity thm12 --traces 3,3,3 --cutoff 8 --format csv": (
@@ -121,12 +124,12 @@ GOLDEN = {
     ),
     "verify --identity four-simple --fn 1.2,0.4,1.5 --cutoff 8 --format csv": (
         1,
-        "b94b8883f1c2179d32d40c32de9137e8ceac375ac01be80887e38262e2f74c3f",
+        "fcf65d2a1e25243e809eda31e2fe9af3a06c94e37cfe9e3233500099be889bfe",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "terms --identity four-simple --fn 1.2,0.4,1.5 --cutoff 8 --format json": (
         0,
-        "da60e86033f47f4650024481e69b460aa1df6390bc53026b2ac7b0b6bed5e69f",
+        "23f95623717bec3f7e233ea13c87cf5fff88dbe52a50f66de623fae04e2bc445",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "verify --identity four-cusped --traces 3,3,3 --cutoff 8 --format json": (
@@ -161,7 +164,7 @@ GOLDEN = {
     ),
     "sweep --identity thm11 --vary k=0.5:1.5:0.25 --fn 1.2,0.3,_ --cutoff 8": (
         0,
-        "41edcffff2be953b4ce62b4cc1066ded4914f0079179af6b5ca6eb49a6dc993e",
+        "056c8e8e59623219edee151a4f37f0285800806974ce7f230bfd805284845e2f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "selftest --seed 0": (
@@ -186,7 +189,7 @@ GOLDEN = {
     ),
     "verify --identity thm11 --fn 1.2,0.4,1.5 --cutoff 35": (
         0,
-        "d38dbccaab9fca4795510bc6c525d332b1680551eb145debbe704f56178148a7",
+        "0c2d60997f06efcfd76f8afdae6b1a54d26daf78b870d0770627f5b76c96f62a",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "terms --identity thm31 --fn 1.2,0.4,1.5 --cutoff 35 --format csv": (
@@ -207,6 +210,11 @@ GOLDEN = {
     "terms --identity thm15 --fn 8,0,0 --cutoff 20 --format csv": (
         0,
         "088ad60a4aa818c6ee5eb4417deb0f846d3350676eaa420197bcca89eece27f8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "terms --identity thm12 --fn 0.5,0,0 --cutoff 6 --format csv": (
+        0,
+        "9e92305a301724dd6216093aa60cc63238fec3aaa922ef2a33f470d01507988a",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 }

@@ -37,6 +37,7 @@ from hypident import (
     pants_sum_term_via_complement,
     quasi_pants_term,
     rogers,
+    rogers_odd_series,
     tail_estimate,
     term_cusped,
     term_foursphere_cusped,
@@ -97,20 +98,31 @@ def test_one_holed_past_the_switch_is_accurate_relative_to_its_size():
 
 
 def test_one_holed_below_the_switch_is_the_three_dilogarithm_bracket():
-    # below b = 17 + k/2 the bracket is rogers(A) + 2 rogers(B) - 2 rogers(C), bit for bit
+    # below b = 17 + k/2 the bracket is rogers(A) + 2 rogers(B) - 2 rogers(C), bit for
+    # bit, with every argument formed from x = e^{-k/2} and s = e^{-b}.  The first,
+    # (cosh(k/2)+1)/(cosh(k/2)+cosh b) = s(1+x)^2/((x+s)(1+xs)), is no farther from
+    # 50-digit mpmath than the ratio of five exps scaled by e^{-max(k/2, b)}
     rng = random.Random(31)
+    worst = {"xs": 0.0, "scaled": 0.0}
     for _ in range(300):
         k = exp(rng.uniform(log(1e-9), log(30.0)))
         below = nextafter(17.0 + 0.5 * k, 0.0)
         drawn = (rng.uniform(0.01, below), exp(rng.uniform(log(1e-6), log(below))))
         for b in (below, *(min(d, below) for d in drawn)):
-            m = max(0.5 * k, b)
-            up, down = exp(0.5 * k - m), exp(-0.5 * k - m)
-            first = min((up + 2.0 * exp(-m) + down) / (up + down + exp(b - m) + exp(-b - m)), 1.0)
-            scale = 1.0 + exp(-0.5 * k)
-            second, third = (1.0 + exp(-0.5 * k - b)) / scale, -expm1(-b) / scale
+            x, s = exp(-0.5 * k), exp(-b)
+            first = min(s * (1.0 + x) ** 2 / ((x + s) * (1.0 + x * s)), 1.0)
+            second, third = (1.0 + x * s) / (1.0 + x), -expm1(-b) / (1.0 + x)
             bracket = rogers(first) + 2.0 * rogers(second) - 2.0 * rogers(third)
             assert term_one_holed(k, b) == bracket, (k, b)
+            m = max(0.5 * k, b)
+            up, down = exp(0.5 * k - m), exp(-0.5 * k - m)
+            scaled = min((up + 2.0 * exp(-m) + down) / (up + down + exp(b - m) + exp(-b - m)), 1.0)
+            with mpmath.workdps(50):
+                half_k = mpmath.mpf(k) / 2
+                exact = (mpmath.cosh(half_k) + 1) / (mpmath.cosh(half_k) + mpmath.cosh(b))
+                for form, got in (("xs", first), ("scaled", scaled)):
+                    worst[form] = max(worst[form], float(abs(got - exact) / exact))
+    assert worst["xs"] <= worst["scaled"], worst
 
 
 def test_one_holed_tends_to_the_cusped_term_past_the_switch():
@@ -136,10 +148,29 @@ def test_one_holed_cusp_limit_matches_cusped_term():
 
 
 def test_one_holed_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        term_one_holed(0.0, 1.0)
+    # k = 0 is the cusped torus; a negative or non-finite k, and b <= 0, are refused
+    for k in (-1.0, nan, inf):
+        with pytest.raises(DomainError):
+            term_one_holed(k, 1.0)
     with pytest.raises(DomainError):
         term_one_holed(1.0, -1.0)
+    with pytest.raises(DomainError):
+        term_one_holed(0.0, 0.0)
+
+
+def test_the_cusp_is_the_k_zero_case():
+    # from b = 1 on, the holed bracket at k = 0 is the cusped float form
+    # rogers(4s/(1+s)^2) + 2 D(s), s = e^{-b}, bit for bit, past b = 17 too; and
+    # where e^{-k/2} rounds to 1 it is the bracket at k = 0
+    rng = random.Random(41)
+    for _ in range(2000):
+        b = rng.uniform(1.0, 699.9)
+        s = exp(-b)
+        cusped = rogers(4.0 * s / ((1.0 + s) * (1.0 + s))) + 2.0 * rogers_odd_series(s)
+        assert term_one_holed(0.0, b) == cusped == term_cusped(b), b
+    for k in (1e-300, 1e-17):
+        for b in (1e-6, 0.5, 1.0, 5.0, 17.0, 40.0, 699.9):
+            assert term_one_holed(k, b) == term_one_holed(0.0, b), (k, b)
 
 
 def test_cusped_limits():
@@ -176,7 +207,8 @@ def test_cusped_terms_are_accurate_relative_to_their_size():
     # carry b / ln 10 more digits than the 30 kept
     rng = random.Random(17)
     near_the_switch = [0.999, 1.001, 1.9, 2.0]  # three rogers calls below b = 1, one above
-    for b in near_the_switch + [exp(rng.uniform(log(0.01), log(700.0))) for _ in range(120)]:
+    short = [exp(rng.uniform(log(1e-6), log(1.0))) for _ in range(60)]
+    for b in near_the_switch + short + [exp(rng.uniform(log(0.01), log(700.0))) for _ in range(120)]:
         trace_squared = 4.0 * cosh(0.5 * b) ** 2
         with mpmath.workdps(30 + int(b / 2.3)):
             mb = mpmath.mpf(b)
@@ -190,13 +222,23 @@ def test_cusped_terms_are_accurate_relative_to_their_size():
 
 
 def test_cusped_terms_take_one_rogers_call_from_b_one(monkeypatch):
+    # and the holed bracket one call from b = 17 + k/2 on, three below; at k = 0,
+    # one from b = 1 on, the odd series coming before the long-b form
     calls = []
     monkeypatch.setattr(identities, "rogers", lambda z: calls.append(z) or rogers(z))
-    for b, expected in ((0.5, 3), (0.99, 3), (1.01, 1), (2.0, 1), (40.0, 1)):
-        for term in (lambda: term_cusped(b), lambda: term_trace_squared(4.0 * cosh(0.5 * b) ** 2)):
+    for b, expected in ((0.5, 3), (0.99, 3), (1.01, 1), (2.0, 1), (17.5, 1), (40.0, 1)):
+        for term in (lambda: term_cusped(b), lambda: term_one_holed(0.0, b),
+                     lambda: term_trace_squared(4.0 * cosh(0.5 * b) ** 2)):
             calls.clear()
             term()
             assert len(calls) == expected, b
+    for k in (1e-9, 1.0, 20.0):
+        switch = 17.0 + 0.5 * k
+        for b, expected in ((0.5, 3), (2.0, 3), (nextafter(switch, 0.0), 3), (switch, 1),
+                            (switch + 20.0, 1)):
+            calls.clear()
+            term_one_holed(k, b)
+            assert len(calls) == expected, (k, b)
 
 
 def test_brackets_near_zero_length_are_not_refused():
@@ -319,7 +361,7 @@ def test_column_terms_are_the_scalar_forms_term_by_term():
     # trace squared, or the cut pants, overflows), and the others take it at
     # the same length, 700.0 included
     traces, lengths = _column_across_700()
-    k = 1.5
+    k = 1.5  # the boundary kinds' k; the cusped kinds get k = 0, as `check_point_kind` has it
 
     def ortho(b):
         m, _, q = torus_ortho(k, b)
@@ -342,7 +384,7 @@ def test_column_terms_are_the_scalar_forms_term_by_term():
     assert set(scalar) == set(IdentityKind)
     for kind, form in scalar.items():
         kernel = identities._IDENTITIES[kind][0]
-        terms = identities._terms(kernel, k, traces)
+        terms = identities._terms(kernel, 0.0 if kind in CUSPED_KINDS else k, traces)
         assert [term.hex() for term in terms] == [
             form(t, b).hex() for t, b in zip(traces, lengths)
         ], kind
