@@ -44,6 +44,22 @@ classical horocycle identity).  The term functions:
     with the guard x < y and all arguments read in 1 - x and 1 - y =
     sech^2(m/2), which stay accurate where x and y round to 1
 
+    With cx = 1 - x, cy = 1 - y and d = 1 - xy = cx + x cy, its pair
+    2 L(cx/d) - 2 L(cy/d) has the gap g = (cx - cy)/d, which is e^{-b} at the
+    seams of the cut along b, about mid with 1 - mid = (cx - cy + 2 x cy)/(2d).
+    Where |g| < x e^{-17} (b > 17 + k/2 in exact arithmetic: the simple
+    bracket's switch, stated in the bracket's own arguments) the pair is
+    2 g L'(mid), formed by the helper the simple bracket's long-b form uses:
+    one `rogers` call and two logs, dropping the same g^3 L'''(mid)/12.  The
+    test is on |g| because seam rounding can make g negative, and
+    1 - mid = g/2 + x cy/d stays positive there.  The floor of this form's
+    accuracy is the seams, not the form: cx - cy is the difference of
+    1 - e^{-k/2} and sech^2 of a rounded seam, off by a few ulps of cx in
+    either form (within ~4e-15 of mpmath at the same float seams, the
+    first-order form no farther than the three-call one), so thm31 and four
+    sums over long spectra still drift from thm11, by up to ~1e-12 at
+    cutoff 100.  Below the switch the bracket is the three-call form.
+
     four-holed sphere with boundaries c, interior geodesic of length a:
         the orthogeodesic, simple (in c and a only) and cusped brackets are
         the torus brackets above under k = 2c, a = 2b, the two-to-one
@@ -74,8 +90,10 @@ checks the whole column first, and is the one cut at length 700: it
 bisects the sorted traces there, and the kind's table kernel maps the
 columns below it to an iterator of terms, in order, with no limit test of
 its own.  Most kernels `map` their scalar bracket, with no Python frame of
-their own per term; `mcshane` is a chain of `map`s over `exp`, `add` and
-`truediv`, with no Python frame per term.  `evaluate` and `iter_terms`
+their own per term; thm31 and four `starmap` it over the seams of
+`pants.torus_seams` and `pants.foursphere_seams`, which form the fixed
+boundary's trigonometry once per column; `mcshane` is a chain of `map`s
+over `exp`, `add` and `truediv`, with no Python frame per term.  `evaluate` and `iter_terms`
 round the exact sum of the terms once, so the result depends on neither
 the order of the terms nor the cuts between columns, and both give the
 same sum bit for bit.  `evaluate` takes the walk's chunks of at most 4,096
@@ -90,7 +108,8 @@ int in units of 2^-1074 and rounded at each yield.
 import enum
 import math
 from bisect import bisect_left
-from itertools import chain, islice, repeat
+from functools import partial
+from itertools import chain, islice, repeat, starmap
 from math import cosh, exp, expm1, log, log1p, pi, sqrt, tanh
 from operator import add, mul, truediv
 from typing import NamedTuple
@@ -98,7 +117,8 @@ from typing import NamedTuple
 from .curves import GeodesicRecord, enumerate_geodesics, trace_chunks
 from .dilog import ODD_SERIES_MAX, lasso, rogers, rogers_odd_series
 from .errors import DomainError
-from .pants import foursphere_ortho, pants_geometry, torus_ortho
+from .pants import foursphere_ortho  # noqa: F401  looked up here by benchmarks/tracer.py
+from .pants import foursphere_seams, pants_geometry, torus_ortho, torus_seams
 from .torus import TraceTriple, length_from_trace, lengths_from_traces
 
 __all__ = [
@@ -127,6 +147,10 @@ PI2_2 = pi * pi / 2.0
 
 # beyond this the brackets underflow; substitute the analytic limit
 _LIMIT_LENGTH = 700.0
+
+# the orthogeodesic pair is first order below the gap e^{-k/2} e^{-17}: at the seams
+# of the cut along b the gap is e^{-b}, so this is the simple bracket's b >= 17 + k/2
+_FIRST_ORDER_GAP = exp(-17.0)
 
 
 class IdentityKind(enum.Enum):
@@ -162,6 +186,12 @@ def _bracket(first, second, third):
     return rogers(first) + 2.0 * rogers(second) - 2.0 * rogers(third)
 
 
+def _first_order_pair(g, om):
+    # 2 L(mid + g/2) - 2 L(mid - g/2) to first order in the gap g: 2 g L'(mid), read in
+    # om = 1 - mid; both brackets' pairs, each with its own gap and om
+    return -g * (log(om) / (1.0 - om) + log1p(-om) / om)
+
+
 def _sech2_half(x):  # sech^2(x/2), or its limit 0 from x = 700 on, before cosh^2 can overflow
     return 1.0 / cosh(0.5 * x) ** 2 if x < _LIMIT_LENGTH else 0.0
 
@@ -191,10 +221,9 @@ def term_one_holed(k: float, b: float) -> float:
     first = s * (1.0 + x) ** 2 / ((x + s) * (1.0 + x * s))
     if x == 1.0 and s <= ODD_SERIES_MAX:  # the pair at m = 1/2
         return rogers(first) + 2.0 * rogers_odd_series(s)
-    if b >= 17.0 + 0.5 * k:
-        # 2 s L'(m) = -s (log(om)/(1 - om) + log1p(-om)/om), om = 1 - m
+    if b >= 17.0 + 0.5 * k:  # the pair at gap s about m, read in om = 1 - m
         om = (2.0 * x + s * (1.0 - x)) / (2.0 * (1.0 + x))
-        return rogers(first) - s * (log(om) / (1.0 - om) + log1p(-om) / om)
+        return rogers(first) + _first_order_pair(s, om)
     # first rounds above 1 at some b < 1e-6, where the ratio rounds to 1
     return _bracket(min(first, 1.0), (1.0 + x * s) / (1.0 + x), -expm1(-b) / (1.0 + x))
 
@@ -217,7 +246,12 @@ def term_trace_squared(trace_squared: float) -> float:
 
 
 def term_ortho_torus(k: float, m: float, q: float) -> float:
-    """Bracket in the orthogeodesic lengths (m, q) of the cut torus."""
+    """Bracket in the orthogeodesic lengths (m, q) of the cut torus.
+
+    Its pair 2 L(cx/d) - 2 L(cy/d) has gap g = (cx - cy)/d; below the gap
+    e^{-k/2} e^{-17} it is 2 g L'(mid), one `rogers` call in place of three
+    (the module docstring gives the forms).
+    """
     _check_positive("k", k)
     _check_positive("m", m)
     _check_positive("q", q)
@@ -231,7 +265,13 @@ def term_ortho_torus(k: float, m: float, q: float) -> float:
         raise DomainError(
             f"guard e^(-k/2) < tanh^2(m/2) violated (k={k!r}, m={m!r}): non-geometric input"
         )
-    d = cx + exp(-0.5 * k) * cy  # 1 - e^{-k/2} tanh^2(m/2)
+    x = exp(-0.5 * k)
+    d = cx + x * cy  # 1 - e^{-k/2} tanh^2(m/2)
+    g = (cx - cy) / d  # e^{-b} at the seams of the cut along b
+    # |g|: seam rounding can make g negative, and then om = g/2 + x cy/d stays > 0
+    if abs(g) < x * _FIRST_ORDER_GAP:
+        om = (cx - cy + 2.0 * x * cy) / (2.0 * d)
+        return rogers(tanh(0.5 * q) ** 2) + _first_order_pair(g, om)
     return _bracket(tanh(0.5 * q) ** 2, cx / d, cy / d)
 
 
@@ -364,13 +404,12 @@ _IDENTITIES = {
         lambda k, t, b: map(term_trace_squared, map(mul, t, t)), True, PI2_2, False
     ),
     IdentityKind.THM31: (
-        lambda k, t, b: (term_ortho_torus(k, m, q) for m, _, q in map(torus_ortho, repeat(k), b)),
+        lambda k, t, b: starmap(partial(term_ortho_torus, k), torus_seams(k, b)),
         False, PI2_2, False,
     ),
     IdentityKind.FOUR: (
-        lambda k, t, b: (
-            term_ortho_torus(k, m, p)
-            for m, p, _ in map(foursphere_ortho, repeat(0.5 * k), map(mul, repeat(2.0), b))
+        lambda k, t, b: starmap(
+            partial(term_ortho_torus, k), foursphere_seams(0.5 * k, map(mul, repeat(2.0), b))
         ),
         False, PI2_2, True,
     ),

@@ -30,7 +30,10 @@ one-holed torus with boundary length k along one of length b gives the
 pants (k, b, b).  Both are the isosceles pants (pair, pair, single): its
 seam m from a pair boundary to the single one, self-perpendicular p of
 the single boundary and seam q between the pair boundaries are the two
-relations at those labels.
+relations at those labels.  `torus_seams` and `foursphere_seams` take a
+column of interior lengths at one boundary length and give, lazily, only
+the two lengths the orthogeodesic bracket reads, with the same floats: the
+fixed boundary's trigonometry is formed once per column.
 
 Degenerate boundary lengths (below 1e-12) are rejected rather than extended
 by limits; cusps enter the library only through the dedicated cusped term
@@ -52,6 +55,8 @@ __all__ = [
     "pants_geometry",
     "foursphere_ortho",
     "torus_ortho",
+    "foursphere_seams",
+    "torus_seams",
     "guard_threshold",
 ]
 
@@ -169,6 +174,49 @@ def torus_ortho(k: float, b: float) -> Orthogeodesics:
     _check_length("k", k)
     _check_length("b", b)
     return _isosceles_ortho(b, k, (k, b, b))
+
+
+def torus_seams(k: float, bs):
+    """(m, q) of `torus_ortho(k, b)` for each b of the column `bs`, lazily.
+
+    The same floats, bit for bit, and the same refusals, each at the first b
+    that meets it; the length-k boundary's trigonometry is formed once, and
+    the self-perpendicular p not at all (nor checked for overflow).
+    """
+    ts = None
+    for b in bs:
+        if ts is None:
+            _check_length("k", k)
+        _check_length("b", b)
+        try:
+            ts, tp = ts or _boundary(k), _boundary(b)
+        except OverflowError:
+            raise _out_of_range(k, b, b) from None
+        m, q = _seam(tp, tp, ts), _seam(ts, tp, tp)
+        if not math.isfinite(m + q):
+            raise _out_of_range(k, b, b)
+        yield m, q
+
+
+def foursphere_seams(c: float, lengths):
+    """(m, p) of `foursphere_ortho(c, a)` for each a of the column `lengths`, lazily.
+
+    As `torus_seams`: the length-c boundaries' trigonometry is formed once,
+    and the seam q not at all.
+    """
+    tp = None
+    for a in lengths:
+        if tp is None:
+            _check_length("c", c)
+        _check_length("a", a)
+        try:
+            tp, ts = tp or _boundary(c), _boundary(a)
+        except OverflowError:
+            raise _out_of_range(c, c, a) from None
+        m, p = _seam(tp, tp, ts), _perp(ts, tp, tp)
+        if not math.isfinite(m + p):
+            raise _out_of_range(c, c, a)
+        yield m, p
 
 
 def guard_threshold(half_param: float) -> float:

@@ -38,7 +38,7 @@ certificate.
 import math
 from collections import deque
 from itertools import repeat
-from math import acosh, cosh, exp, inf, sinh, sqrt
+from math import acosh, cosh, exp, inf, sinh, sqrt, ulp
 from operator import mul
 from typing import NamedTuple
 
@@ -193,6 +193,12 @@ def from_fenchel_nielsen(fn: FenchelNielsen) -> TraceTriple:
             raise OverflowError
     except (OverflowError, ZeroDivisionError):
         raise _beyond_float_range(fn) from None
+    if x == 2.0:  # x - 2 = 4 sinh^2(b/4) is below half the float spacing at 2
+        raise DomainError(
+            f"geodesic length b={fn.b!r} is below the float resolution of its trace:"
+            f" 2 cosh(b/2) rounds to 2.0, whose float spacing is {ulp(2.0)!r}"
+            " (b must be at least about 3e-08)"
+        )
     return trace_triple(x, y, z)._replace(k=fn.k)
 
 

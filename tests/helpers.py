@@ -3,8 +3,9 @@
 These stay deliberately separate from the library code paths they check:
 the dilogarithm oracle uses mpmath at 40 digits, the seam oracle places
 explicit hyperbolic matrices and bisects on the resulting boundary trace,
-and the reference walk visits the Markov tree one node at a time, without
-the twist runs and stretches of `curves`.  `sorted_traces` is no oracle:
+the reference walk visits the Markov tree one node at a time, without
+the twist runs and stretches of `curves`, and the exact walk does the same
+in Python integers, for integer roots.  `sorted_traces` is no oracle:
 it reads the library's own walk, as one sorted trace column.
 """
 
@@ -109,6 +110,29 @@ def reference_walk(root, length_cutoff):
             c, kept = child[4], child[2:4]
             if not (c > cutoff and c >= kept[0] and c >= kept[1]):
                 queue.append(child)
+    return found
+
+
+def exact_markoff_traces(root, length_cutoff):
+    """Every trace within the cutoff of the tree from the integer triple `root`, exactly.
+
+    The tree of `reference_walk` in Python integers: the flip d = ab - c, and
+    the prune at the exact trace bound floor(2 cosh(L/2)) of the float cutoff
+    L, formed in mpmath with digits to spare.  Nothing rounds, so the traces
+    are those of the surface, not of a float recurrence.
+    """
+    x, y, z = root
+    with mpmath.workdps(30 + int(length_cutoff / 4.6)):  # 2 cosh(L/2) has ~L/4.6 digits
+        bound = int(mpmath.floor(2 * mpmath.cosh(mpmath.mpf(length_cutoff) / 2)))
+    found = [t for t in (x, y) if t <= bound]
+    stack = [(x, y, z), (x, y, x * y - z)]
+    while stack:
+        ta, tb, t = stack.pop()
+        if t <= bound:
+            found.append(t)
+        for child in ((ta, t, ta * t - tb), (t, tb, t * tb - ta)):
+            if not (child[2] > bound and child[2] >= child[0] and child[2] >= child[1]):
+                stack.append(child)
     return found
 
 

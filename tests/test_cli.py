@@ -552,6 +552,15 @@ def test_out_of_range_traces_exit_two():
         assert err.count("\n") == 1, argv
 
 
+def test_a_length_below_the_trace_resolution_exits_two():
+    # a valid b whose trace 2 cosh(b/2) rounds to 2: refused by b, not as a trace of 2.0
+    for identity, fn, b in (("mcshane", "1e-8,0,0", "1e-08"), ("thm11", "1e-300,0,0.5", "1e-300")):
+        code, out, err = invoke(["verify", "--identity", identity, "--fn", fn, "--cutoff", "10"])
+        assert (code, out) == (2, ""), fn
+        assert err.startswith(f"error: geodesic length b={b} is below the float resolution"), err
+        assert err.count("\n") == 1, err
+
+
 def test_orthogeodesic_kinds_evaluate_near_the_cusp():
     # at m ~ 20 both e^{-k/2} and tanh^2(m/2) round to about 1; this point
     # used to be refused mid-spectrum by the seam guard

@@ -4,7 +4,7 @@ from collections import Counter, deque
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from math import acosh, cosh, exp, gcd, inf, isnan, log, nan, sinh, sqrt
+from math import acosh, cosh, exp, gcd, inf, isnan, log, nan, sinh, sqrt, ulp
 
 import mpmath
 import pytest
@@ -28,7 +28,7 @@ from hypident import (
     trace_triple,
 )
 from hypident import curves, identities
-from helpers import reference_walk, sorted_traces
+from helpers import exact_markoff_traces, reference_walk, sorted_traces
 
 # FN(8, 0, 0) with y one ulp lower: at cutoff 20, 11 adjacent pairs of equal
 # length have unequal traces, and in 7 of them rational and trace order disagree
@@ -756,3 +756,24 @@ def test_brute_force_scale_limit():
     fn = FenchelNielsen(1.3, 0.0, 1.1)
     with pytest.raises(DomainError):
         brute_force_trace(fn, Slope(51, 1))
+
+
+def test_walk_at_scale_matches_the_exact_integer_walk():
+    # integer roots have integer traces, so an exact walk in Python ints is an
+    # oracle for the float walk at scale: the same count at every cutoff, and the
+    # sorted float traces within a stated distance of the exact ones, in units of
+    # the float spacing at each exact trace (measured 33.4 and 5.6 at the largest
+    # cutoffs: the rounding of the recurrence t tb - ta, step after step)
+    for traces, cutoffs, ulps in (
+        ((3, 3, 3), {60.0: 984, 200.0: 10_854, 705.0: 134_742}, 34),
+        ((3, 3, 4), {30.0: 208, 200.0: 9_140}, 6),
+    ):
+        triple = trace_triple(*map(float, traces))
+        assert reduce_to_minimal(triple)[:3] == traces  # the float walk's root
+        for cutoff, count in cutoffs.items():
+            exact = sorted(exact_markoff_traces(traces, cutoff))
+            walked = sorted_traces(triple, cutoff)
+            assert len(exact) == len(walked) == count, (traces, cutoff)
+            # every float trace here is an integer: int() is exact
+            worst = max(abs(int(t) - e) / ulp(float(e)) for t, e in zip(walked, exact))
+            assert worst <= ulps, (traces, cutoff, worst)

@@ -194,7 +194,7 @@ GOLDEN = {
     ),
     "terms --identity thm31 --fn 1.2,0.4,1.5 --cutoff 35 --format csv": (
         0,
-        "8eb26257f6e6eaf5a79c3a213a3708b6b326aef311b45008dd88da1004d0b28c",
+        "21b190cbfb38fdc0eb54338e5555aa3fd5796f5baeac9ebdbc8cf911cdd8d80b",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "spectrum --fn 8,0,0 --cutoff 20 --format csv": (

@@ -5,7 +5,9 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from math import acosh, cosh, exp, expm1, fsum, inf, isfinite, log, nan, nextafter, pi, tanh, ulp
+from math import (
+    acosh, cosh, exp, expm1, fsum, inf, isfinite, log, log1p, nan, nextafter, pi, tanh, ulp,
+)
 
 from pathlib import Path
 
@@ -497,8 +499,8 @@ def test_identity_term_reads_a_record_by_its_trace():
         assert term > 0.0, kind
 
 
-def test_ortho_bracket_spends_three_dilogarithms(monkeypatch):
-    # the lasso's L(y) cancels the bracket's 2 L(y): three Rogers calls
+def _counting(monkeypatch):
+    # the number of `rogers` and `lasso` calls the identities make, by name
     calls = {"rogers": 0, "lasso": 0}
 
     def counted(name, fn):
@@ -510,13 +512,121 @@ def test_ortho_bracket_spends_three_dilogarithms(monkeypatch):
 
     monkeypatch.setattr(identities, "rogers", counted("rogers", rogers))
     monkeypatch.setattr(identities, "lasso", counted("lasso", lasso))
-    record = GeodesicRecord(None, 2.0 * cosh(1.0), 2.0)
-    for kind in (IdentityKind.THM31, IdentityKind.FOUR):
-        identity_term(kind, 1.5, record)
-        assert calls == {"rogers": 3, "lasso": 0}
-        calls.update(rogers=0)
+    return calls
+
+
+def test_ortho_bracket_spends_three_dilogarithms(monkeypatch):
+    # the lasso's L(y) cancels the bracket's 2 L(y): three Rogers calls below the
+    # switch; past it (b >= 17 + k/2) the pair is 2 g L'(mid) and one call is left
+    calls = _counting(monkeypatch)
+    for b, spent in ((2.0, 3), (20.0, 1)):
+        record = GeodesicRecord(None, 2.0 * cosh(0.5 * b), b)
+        for kind in (IdentityKind.THM31, IdentityKind.FOUR):
+            identity_term(kind, 1.5, record)
+            assert calls == {"rogers": spent, "lasso": 0}, (b, kind)
+            calls.update(rogers=0)
     quasi_pants_term(1.5, 2.0)  # the bracket, L(sech^2(p/2)) and La(e^{-b}, y)
     assert calls == {"rogers": 4, "lasso": 1}
+
+
+def _ortho_three_calls(k, m, q):
+    # the orthogeodesic bracket as three Rogers calls, every float formed as
+    # `term_ortho_torus` forms it below the switch
+    cx, cy = -expm1(-0.5 * k), 1.0 / cosh(0.5 * m) ** 2
+    d = cx + exp(-0.5 * k) * cy
+    return rogers(tanh(0.5 * q) ** 2) + 2.0 * rogers(cx / d) - 2.0 * rogers(cy / d)
+
+
+def _ortho_first_order(k, m, q):
+    # the same bracket with its pair 2 L(cx/d) - 2 L(cy/d) as 2 g L'(mid),
+    # g = (cx - cy)/d and 1 - mid = (cx - cy + 2 x cy)/(2d), x = e^{-k/2}
+    x = exp(-0.5 * k)
+    cx, cy = -expm1(-0.5 * k), 1.0 / cosh(0.5 * m) ** 2
+    d = cx + x * cy
+    g, om = (cx - cy) / d, (cx - cy + 2.0 * x * cy) / (2.0 * d)
+    return rogers(tanh(0.5 * q) ** 2) - g * (log(om) / (1.0 - om) + log1p(-om) / om)
+
+
+def _ortho_bracket_mp(k, m, q):
+    # L(tanh^2(q/2)) + 2 L(cx/d) - 2 L(cy/d) at the float (k, m, q), 60 digits
+    with mpmath.workdps(60):
+        k, m, q = mpmath.mpf(k), mpmath.mpf(m), mpmath.mpf(q)
+        x = mpmath.exp(-k / 2)
+        cx, cy = 1 - x, mpmath.sech(m / 2) ** 2
+        d = cx + x * cy
+        return rogers_mp(mpmath.tanh(q / 2) ** 2) + 2 * (rogers_mp(cx / d) - rogers_mp(cy / d))
+
+
+def test_ortho_kinds_below_the_switch_are_the_three_call_bracket():
+    # below b = 17 + k/2 every thm31 and four term is the three-call bracket of
+    # its seams, bit for bit, through the table kernels as through the scalar form
+    rng = random.Random(36)
+    for _ in range(500):
+        k = exp(rng.uniform(log(1e-6), log(30.0)))
+        trace = 2.0 * cosh(0.5 * exp(rng.uniform(log(1e-3), log(16.9 + 0.5 * k))))
+        b = length_from_trace(trace)  # the length the kernels read from the trace
+        torus, four = torus_ortho(k, b), foursphere_ortho(0.5 * k, 2.0 * b)
+        for kind, (m, q) in ((IdentityKind.THM31, (torus.m, torus.q)),
+                             (IdentityKind.FOUR, (four.m, four.p))):
+            bracket = _ortho_three_calls(k, m, q)
+            assert term_ortho_torus(k, m, q).hex() == bracket.hex(), (k, b)
+            term = identity_term(kind, k, GeodesicRecord(None, trace, b))
+            assert term.hex() == bracket.hex(), (k, b, kind)
+
+
+def test_ortho_pair_past_the_switch_is_no_less_accurate(monkeypatch):
+    # from the switch to b = 60, at the seams of `torus_ortho`, the first-order
+    # pair is no farther from 60-digit mpmath at the same float (k, m, q) than the
+    # three-call form on the same draws: both errors are set by the rounding of
+    # cx - cy = sech^2 of a rounded seam against 1 - e^{-k/2}, ~4e-15
+    rng = random.Random(36)
+    draws = []
+    for _ in range(300):
+        k = exp(rng.uniform(log(1e-3), log(25.0)))
+        m, _, q = torus_ortho(k, rng.uniform(17.0 + 0.5 * k, 60.0))
+        draws.append((k, m, q))
+    calls = _counting(monkeypatch)
+    got = [term_ortho_torus(*draw) for draw in draws]
+    # nearly all take the one-call form: only seam rounding at the switch moves a draw back
+    assert calls["rogers"] <= 300 + 2 * 3, calls
+    worst = {"first order": 0.0, "three calls": 0.0}
+    for draw, value in zip(draws, got):
+        exact = _ortho_bracket_mp(*draw)
+        for form, term in (("first order", value), ("three calls", _ortho_three_calls(*draw))):
+            worst[form] = max(worst[form], float(abs(term - exact)))
+    assert worst["first order"] <= worst["three calls"] <= 5e-15, worst
+
+
+def test_ortho_pair_is_continuous_at_the_switch(monkeypatch):
+    # at the switch g = e^{-k/2} e^{-17} the term takes one Rogers call just below
+    # it and three just above it, and at each point the other form agrees within
+    # 1e-15.  The seam m is aimed at g (1 -+ d): d = 2^-30 where the float seam
+    # lands on its side, doubled until it does (the float grid of g there is
+    # ~3e-9 e^{k/2} relative, coarser than 2^-30)
+    calls = _counting(monkeypatch)
+
+    def spent(k, m):
+        calls.update(rogers=0)
+        term_ortho_torus(k, m, 0.3)
+        return calls["rogers"]
+
+    def seam(k, ratio):  # m with (cx - cy)/(cx + x cy) = e^{-k/2} e^{-17} ratio
+        with mpmath.workdps(50):
+            x = mpmath.exp(-mpmath.mpf(k) / 2)
+            g = x * mpmath.exp(-17) * ratio
+            return float(2 * mpmath.acosh(1 / mpmath.sqrt((1 - x) * (1 - g) / (1 + x * g))))
+
+    rng = random.Random(36)
+    for _ in range(40):
+        k = exp(rng.uniform(log(1e-3), log(25.0)))
+        for sign, rogers_calls in ((-1, 1), (1, 3)):
+            d = 2.0**-30
+            while spent(k, m := seam(k, 1 + sign * d)) != rogers_calls:
+                d *= 2.0
+            assert d <= 2.0**-8, (k, d)
+            term = term_ortho_torus(k, m, 0.3)
+            for form in (_ortho_first_order, _ortho_three_calls):
+                assert abs(term - form(k, m, 0.3)) <= 1e-15, (k, m, form.__name__)
 
 
 def test_ortho_kinds_evaluate_long_spectra():

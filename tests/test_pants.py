@@ -9,11 +9,13 @@ import pytest
 from hypident import (
     DomainError,
     foursphere_ortho,
+    foursphere_seams,
     guard_threshold,
     pants_geometry,
     pants_sum_term,
     term_ortho_torus,
     torus_ortho,
+    torus_seams,
 )
 from helpers import seam_oracle
 
@@ -370,3 +372,44 @@ def test_isosceles_seams_are_equal_bit_for_bit():
         c, a = _log_uniform(rng, 1e-6, 700.0), _log_uniform(rng, 1e-6, 700.0)
         g = pants_geometry(c, c, a)
         assert g.m1 == g.m2 and g.d1 == g.d2, (c, a)
+
+
+def test_column_seams_are_the_scalar_seams_bit_for_bit():
+    # the column forms give the two seams each orthogeodesic bracket reads, (m, q)
+    # of `torus_ortho` and (m, p) of `foursphere_ortho`, bit for bit, for each
+    # length of a column at a fixed boundary
+    rng = random.Random(36)
+    for _ in range(20):
+        k = _log_uniform(rng, 1e-6, 130.0)
+        lengths = [_log_uniform(rng, 1e-6, 700.0) for _ in range(100)]
+        assert list(torus_seams(k, lengths)) == [
+            (o.m, o.q) for o in (torus_ortho(k, b) for b in lengths)
+        ], k
+        assert list(foursphere_seams(k, lengths)) == [
+            (o.m, o.p) for o in (foursphere_ortho(k, a) for a in lengths)
+        ], k
+
+
+def test_column_seams_refuse_as_the_scalar_forms_at_the_first_length():
+    # lazily: an empty column is no refusal, and a bad or overflowing length is
+    # refused, with the scalar form's message, when the column reaches it
+    cases = [(0.0, [1.0]), (1.0, [1.0, 1e-13]), (0.5, [1.0, 1e10]), (1.0, [2.0, math.nan])]
+    for column, scalar, extra in (
+        (torus_seams, torus_ortho, []),
+        (foursphere_seams, foursphere_ortho, [(1400.0, [1.0, 1e-6])]),  # p overflows
+    ):
+        assert list(column(0.0, [])) == []
+        for fixed, lengths in cases + extra:
+            seams = column(fixed, lengths)
+            for length in lengths[:-1]:
+                m, p, q = scalar(fixed, length)
+                assert next(seams) == ((m, q) if column is torus_seams else (m, p))
+            with pytest.raises(DomainError) as refused:
+                next(seams)
+            with pytest.raises(DomainError) as expected:
+                scalar(fixed, lengths[-1])
+            assert str(refused.value) == str(expected.value), (column, fixed, lengths)
+    # the one difference: `torus_ortho` refuses the pants (1e-6, 1400, 1400) for its
+    # self-perpendicular p, which the column does not form; its seams are in range
+    m, q = next(torus_seams(1e-6, [1400.0]))
+    assert math.isfinite(m + q) and m > 0.0 and q > 0.0

@@ -105,6 +105,18 @@ def test_fenchel_nielsen_beyond_float_range_is_refused():
             fenchel_nielsen_matrices(fn)
 
 
+def test_fenchel_nielsen_below_the_trace_resolution_is_refused_by_b():
+    # from b ~ 3e-8 down, 2 cosh(b/2) = 2 + b^2/4 + ... rounds to 2: the length b is
+    # valid, but its trace cannot be told from a parabolic one.  The refusal names b
+    # and the float spacing at 2, and is no `NonHyperbolicError` about a trace of 2.0
+    for fn in (FenchelNielsen(1e-8, 0.0, 0.0), FenchelNielsen(1e-300, 0.0, 0.5)):
+        with pytest.raises(DomainError, match="below the float resolution of its trace") as info:
+            from_fenchel_nielsen(fn)
+        assert not isinstance(info.value, NonHyperbolicError)
+        assert f"b={fn.b!r}" in str(info.value) and "4.440892098500626e-16" in str(info.value)
+    assert from_fenchel_nielsen(FenchelNielsen(3e-8, 0.0, 0.0)).x > 2.0
+
+
 def test_positive_kappa_near_the_float_range_is_not_snapped_to_the_cusp():
     # x^2+y^2+z^2+|xyz| overflows here while kappa (+1.9e307, +3.7e307) is
     # finite; the rounding allowance must stay finite and refuse the triple
